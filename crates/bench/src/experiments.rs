@@ -427,8 +427,7 @@ pub const OVERLAP_CHUNKS: usize = 4;
 /// (epoch = max(compute, comm) per rank). It now reports *measured*
 /// overlap: the chunked pipeline actually executed by the trainer
 /// (chunks = [`OVERLAP_CHUNKS`]), with only comm that fits behind the
-/// chunk's compute hidden. `modeled_epoch_time_overlapped()` is kept in
-/// the codebase for contrast but no longer feeds this table.
+/// chunk's compute hidden.
 pub fn overlap(suite: &Suite, seed: u64) -> (Table, Vec<Point>) {
     let mut table = Table::new(&[
         "dataset",
@@ -578,8 +577,8 @@ pub struct SweepCell {
     pub p: usize,
     /// `max|w_dist − w_ref|` after training.
     pub weight_drift: f64,
-    /// Executed bytes/flops equal the analytic prediction exactly, for
-    /// every rank and every phase.
+    /// Executed ops/bytes/flops equal the analytic prediction exactly,
+    /// for every rank and every phase.
     pub volume_match: bool,
     /// Bottleneck rank's received bytes per epoch (executed).
     pub bottleneck_recv: u64,
@@ -663,8 +662,8 @@ fn sweep_grid(small: bool) -> Vec<(GridKind, usize)> {
     grid
 }
 
-/// Executed bytes/flops must equal the analytic prediction exactly —
-/// same integer, every rank, every phase.
+/// Executed ops/bytes/flops must equal the analytic prediction exactly
+/// — same integer, every rank, every phase.
 fn volumes_match(executed: &WorldStats, analytic: &WorldStats) -> bool {
     executed.p() == analytic.p()
         && executed
@@ -675,7 +674,8 @@ fn volumes_match(executed: &WorldStats, analytic: &WorldStats) -> bool {
                 PHASES.iter().all(|&ph| {
                     let pe = e.phase(ph);
                     let pa = a.phase(ph);
-                    pe.bytes_sent == pa.bytes_sent
+                    pe.ops == pa.ops
+                        && pe.bytes_sent == pa.bytes_sent
                         && pe.bytes_recv == pa.bytes_recv
                         && pe.flops == pa.flops
                 })

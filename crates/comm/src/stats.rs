@@ -275,22 +275,6 @@ impl WorldStats {
             .fold(0.0, f64::max)
     }
 
-    /// Modeled epoch time under **perfect communication/computation
-    /// overlap**: per rank, `max(compute, communication)` instead of
-    /// their sum. The paper's §1 lists overlap as a benefit of the
-    /// sparsity-oblivious approach's regular communication pattern; this
-    /// bound is the most charitable possible reading of it.
-    pub fn modeled_epoch_time_overlapped(&self) -> f64 {
-        self.per_rank
-            .iter()
-            .map(|r| {
-                let compute = r.phase(Phase::LocalCompute).modeled_seconds;
-                let comm = r.modeled_total() - compute;
-                compute.max(comm)
-            })
-            .fold(0.0, f64::max)
-    }
-
     /// Max over ranks of one phase's modeled seconds (figure breakdowns).
     pub fn phase_time(&self, p: Phase) -> f64 {
         self.per_rank
@@ -448,10 +432,6 @@ impl WorldStats {
         let mut reg = gnn_trace::MetricsRegistry::new();
         reg.counter("world.ranks", self.p() as u64);
         reg.gauge("world.modeled_epoch_seconds", self.modeled_epoch_time());
-        reg.gauge(
-            "world.modeled_epoch_seconds_overlapped",
-            self.modeled_epoch_time_overlapped(),
-        );
         reg.counter("faults.retries", self.total_retries());
         reg.counter("faults.injected", self.total_injected_faults());
         reg.counter("faults.retransmit_bytes", self.total_retransmit_bytes());
@@ -599,15 +579,6 @@ mod tests {
         r.phase_mut(Phase::Bcast).modeled_seconds = 1.0;
         let w = WorldStats::new(vec![r]);
         assert_eq!(w.modeled_epoch_time(), 8.0);
-        assert_eq!(w.modeled_epoch_time_overlapped(), 6.0);
-    }
-
-    #[test]
-    fn overlap_equals_plain_when_compute_dominates() {
-        let mut r = RankStats::default();
-        r.phase_mut(Phase::LocalCompute).modeled_seconds = 9.0;
-        let w = WorldStats::new(vec![r]);
-        assert_eq!(w.modeled_epoch_time_overlapped(), 9.0);
     }
 
     #[test]

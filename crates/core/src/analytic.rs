@@ -16,7 +16,8 @@ use spmat::Csr;
 use crate::dist::overlap::{chunk_groups, OverlapPlan1d};
 use crate::dist::plan::{Plan15d, Plan1d};
 use crate::dist::threed::Plan3d;
-use crate::dist::twod::Plan2d;
+use crate::dist::trainer::{build_plan, panel_cols, Pipeline, PlanKind};
+use crate::dist::twod::{Plan2d, Stage2d};
 use crate::dist::Algo;
 use crate::model::ArchKind;
 
@@ -228,58 +229,66 @@ fn spmm_1d_oblivious_pipelined_charges(
     }
 }
 
-/// One *pipelined* 1.5D SpMM's charges: replays
-/// [`crate::dist::overlap::spmm_15d_pipelined_buf`] — every outbound
-/// block lands on the first stage boundary, each stage section's
+/// Where one stage of a stage-loop SpMM gets its rows.
+enum StageSource {
+    /// The own block: elements gathered locally.
+    Local(u64),
+    /// A peer: bytes received.
+    Remote(u64),
+    /// A peer, but this stage needs no rows.
+    Nothing,
+}
+
+/// One stage-loop SpMM's charges (1.5D, 2D, 3D): the outbound blocks
+/// (`sends`: elements packed and bytes of each), then per stage its row
+/// source and multiply flops. Blocking with `chunks = None`; otherwise
+/// the pipelined schedule of [`crate::dist::overlap`] — every outbound
+/// block lands on the first stage boundary, and each section's
 /// receives settle against the previous section's multiplies.
-fn spmm_15d_pipelined_charges(
-    plan: &Plan15d,
-    me: usize,
-    f: u64,
-    aware: bool,
-    chunks: usize,
+fn stage_loop_charges(
+    sends: impl Iterator<Item = (u64, u64)>,
+    stages: &[(StageSource, u64)],
+    chunks: Option<usize>,
     model: &CostModel,
     st: &mut RankStats,
 ) {
-    let rp = &plan.ranks[me];
-    let rows_i = (rp.row_hi - rp.row_lo) as u64;
-
-    // Sender side: packed before the window, posted on stage 0.
-    let (mut send_ops0, mut send_bytes0) = (0u64, 0u64);
-    if !rp.send_lists.is_empty() {
-        let mut pack_elems = 0u64;
-        for (l, idx) in rp.send_lists.iter().enumerate() {
-            if l == rp.i || idx.is_empty() {
-                continue;
-            }
-            let bytes = if aware {
-                pack_elems += idx.len() as u64 * f;
-                rows_payload_bytes(idx.len() as u64, f)
-            } else {
-                8 * rows_i * f
-            };
-            send_ops0 += 1;
-            send_bytes0 += bytes;
-            let c = st.phase_mut(Phase::P2p);
-            c.ops += 1;
-            c.bytes_sent += bytes;
-        }
-        if pack_elems > 0 {
-            add_compute(st, model, pack_elems);
+    let (mut pack_elems, mut send_ops, mut send_bytes) = (0u64, 0u64, 0u64);
+    for (pack, bytes) in sends {
+        pack_elems += pack;
+        send_ops += 1;
+        send_bytes += bytes;
+        let c = st.phase_mut(Phase::P2p);
+        c.ops += 1;
+        c.bytes_sent += bytes;
+        if chunks.is_none() {
+            c.modeled_seconds += model.p2p(bytes);
         }
     }
+    if pack_elems > 0 {
+        add_compute(st, model, pack_elems);
+    }
 
-    let groups = chunk_groups(rp.stages.len(), chunks);
+    let Some(chunks) = chunks else {
+        for (src, flops) in stages {
+            match *src {
+                StageSource::Local(gather) => add_compute(st, model, gather),
+                StageSource::Remote(bytes) => {
+                    let c = st.phase_mut(Phase::P2p);
+                    c.ops += 1;
+                    c.bytes_recv += bytes;
+                    c.modeled_seconds += model.p2p(bytes);
+                }
+                StageSource::Nothing => {}
+            }
+            add_compute(st, model, *flops);
+        }
+        return;
+    };
     let mut prev_compute = 0.0f64;
-    for (g, &(slo, shi)) in groups.iter().enumerate() {
+    for (g, &(slo, shi)) in chunk_groups(stages.len(), chunks).iter().enumerate() {
         let (mut recv_ops, mut recv_bytes) = (0u64, 0u64);
-        for stage in &rp.stages[slo..shi] {
-            if stage.q != rp.i && !stage.needed.is_empty() {
-                let bytes = if aware {
-                    rows_payload_bytes(stage.needed.len() as u64, f)
-                } else {
-                    8 * (plan.bounds[stage.q + 1] - plan.bounds[stage.q]) as u64 * f
-                };
+        for (src, _) in &stages[slo..shi] {
+            if let StageSource::Remote(bytes) = *src {
                 recv_ops += 1;
                 recv_bytes += bytes;
                 let c = st.phase_mut(Phase::P2p);
@@ -288,7 +297,7 @@ fn spmm_15d_pipelined_charges(
             }
         }
         let (s_ops, s_bytes) = if g == 0 {
-            (send_ops0, send_bytes0)
+            (send_ops, send_bytes)
         } else {
             (0, 0)
         };
@@ -297,379 +306,202 @@ fn spmm_15d_pipelined_charges(
         add_overlap_boundary(st, send_cost.max(recv_cost), prev_compute);
 
         prev_compute = 0.0;
-        for stage in &rp.stages[slo..shi] {
-            if stage.q == rp.i {
-                let gather = stage.needed.len() as u64 * f;
+        for (src, flops) in &stages[slo..shi] {
+            if let StageSource::Local(gather) = *src {
                 add_compute(st, model, gather);
                 prev_compute += model.compute(gather);
             }
-            let spmm = 2 * stage.block_compact.nnz() as u64 * f;
-            add_compute(st, model, spmm);
-            prev_compute += model.compute(spmm);
+            add_compute(st, model, *flops);
+            prev_compute += model.compute(*flops);
         }
     }
-    add_allreduce(st, model, 8 * rows_i * f, plan.c);
 }
 
-/// One 1.5D SpMM's charges on linear rank `me`.
+/// Elements packed and bytes shipped for one outbound block of `rows`
+/// (sparsity-aware) or the whole `rows_i`-row block (oblivious).
+fn send_charge(rows: usize, rows_i: u64, aware: bool, f: u64) -> (u64, u64) {
+    if aware {
+        (rows as u64 * f, rows_payload_bytes(rows as u64, f))
+    } else {
+        (0, 8 * rows_i * f)
+    }
+}
+
+/// One 1.5D SpMM's charges on linear rank `me`: replays
+/// [`crate::dist::onefived::spmm_15d_buf`] (or its pipelined twin), then
+/// the process-row all-reduce over the `c` replicas.
 fn spmm_15d_charges(
     plan: &Plan15d,
     me: usize,
     f: u64,
     aware: bool,
+    chunks: Option<usize>,
     model: &CostModel,
     st: &mut RankStats,
 ) {
     let rp = &plan.ranks[me];
     let rows_i = (rp.row_hi - rp.row_lo) as u64;
-    // Sender side.
-    if !rp.send_lists.is_empty() {
-        let mut pack_elems = 0u64;
-        for (l, idx) in rp.send_lists.iter().enumerate() {
-            if l == rp.i || idx.is_empty() {
-                continue;
-            }
-            let bytes = if aware {
-                pack_elems += idx.len() as u64 * f;
-                rows_payload_bytes(idx.len() as u64, f)
+    let sends = (rp.send_lists.iter().enumerate())
+        .filter(|&(l, idx)| l != rp.i && !idx.is_empty())
+        .map(|(_, idx)| send_charge(idx.len(), rows_i, aware, f));
+    let stages: Vec<(StageSource, u64)> = (rp.stages.iter())
+        .map(|s| {
+            let src = if s.q == rp.i {
+                StageSource::Local(s.needed.len() as u64 * f)
+            } else if s.needed.is_empty() {
+                StageSource::Nothing
+            } else if aware {
+                StageSource::Remote(rows_payload_bytes(s.needed.len() as u64, f))
             } else {
-                8 * rows_i * f
+                StageSource::Remote(8 * (plan.bounds[s.q + 1] - plan.bounds[s.q]) as u64 * f)
             };
-            let c = st.phase_mut(Phase::P2p);
-            c.ops += 1;
-            c.bytes_sent += bytes;
-            c.modeled_seconds += model.p2p(bytes);
-        }
-        if pack_elems > 0 {
-            add_compute(st, model, pack_elems);
-        }
-    }
-    // Stage loop.
-    for stage in &rp.stages {
-        if stage.q == rp.i {
-            add_compute(st, model, stage.needed.len() as u64 * f);
-        } else if !stage.needed.is_empty() {
-            let bytes = if aware {
-                rows_payload_bytes(stage.needed.len() as u64, f)
-            } else {
-                8 * (plan.bounds[stage.q + 1] - plan.bounds[stage.q]) as u64 * f
-            };
-            let c = st.phase_mut(Phase::P2p);
-            c.ops += 1;
-            c.bytes_recv += bytes;
-            c.modeled_seconds += model.p2p(bytes);
-        }
-        add_compute(st, model, 2 * stage.block_compact.nnz() as u64 * f);
-    }
+            (src, 2 * s.block_compact.nnz() as u64 * f)
+        })
+        .collect();
+    stage_loop_charges(sends, &stages, chunks, model, st);
     add_allreduce(st, model, 8 * rows_i * f, plan.c);
 }
 
+/// One grid rank's SUMMA stages at panel width `f` (shared by 2D and
+/// 3D, whose stage plans differ only in which slice a rank folds).
+fn grid_stages(stages: &[Stage2d], i: usize, aware: bool, f: u64) -> Vec<(StageSource, u64)> {
+    stages
+        .iter()
+        .map(|s| {
+            let src = if s.k == i {
+                StageSource::Local(s.needed.len() as u64 * f)
+            } else if s.needed.is_empty() {
+                StageSource::Nothing
+            } else if aware {
+                StageSource::Remote(rows_payload_bytes(s.needed.len() as u64, f))
+            } else {
+                StageSource::Remote(8 * s.needed.len() as u64 * f)
+            };
+            (src, 2 * s.block_compact.nnz() as u64 * f)
+        })
+        .collect()
+}
+
 /// One 2D (SUMMA) SpMM's charges on linear rank `me` at panel width
-/// `f`: replays [`crate::dist::twod::spmm_2d_buf`] — grid-column sends
-/// of the own block's rows, then the `pr`-stage receive/multiply loop.
-fn spmm_2d_charges(plan: &Plan2d, me: usize, f: u64, model: &CostModel, st: &mut RankStats) {
+/// `f`: replays [`crate::dist::twod::spmm_2d_buf`] (or its pipelined
+/// twin) — grid-column sends of the own block's rows, then the
+/// `pr`-stage receive/multiply loop.
+fn spmm_2d_charges(
+    plan: &Plan2d,
+    me: usize,
+    f: u64,
+    chunks: Option<usize>,
+    model: &CostModel,
+    st: &mut RankStats,
+) {
     let rp = &plan.ranks[me];
     let rows_i = (rp.row_hi - rp.row_lo) as u64;
-    let mut pack_elems = 0u64;
-    for (l, idx) in rp.send_lists.iter().enumerate() {
-        if plan.rank_of(l, rp.j) == me || idx.is_empty() {
-            continue;
-        }
-        let bytes = if plan.aware {
-            pack_elems += idx.len() as u64 * f;
-            rows_payload_bytes(idx.len() as u64, f)
-        } else {
-            8 * rows_i * f
-        };
-        let c = st.phase_mut(Phase::P2p);
-        c.ops += 1;
-        c.bytes_sent += bytes;
-        c.modeled_seconds += model.p2p(bytes);
-    }
-    if pack_elems > 0 {
-        add_compute(st, model, pack_elems);
-    }
-    for stage in &rp.stages {
-        if stage.k == rp.i {
-            add_compute(st, model, stage.needed.len() as u64 * f);
-        } else if !stage.needed.is_empty() {
-            let bytes = if plan.aware {
-                rows_payload_bytes(stage.needed.len() as u64, f)
-            } else {
-                8 * stage.needed.len() as u64 * f
-            };
-            let c = st.phase_mut(Phase::P2p);
-            c.ops += 1;
-            c.bytes_recv += bytes;
-            c.modeled_seconds += model.p2p(bytes);
-        }
-        add_compute(st, model, 2 * stage.block_compact.nnz() as u64 * f);
-    }
+    let sends = (rp.send_lists.iter().enumerate())
+        .filter(|&(l, idx)| plan.rank_of(l, rp.j) != me && !idx.is_empty())
+        .map(|(_, idx)| send_charge(idx.len(), rows_i, plan.aware, f));
+    let stages = grid_stages(&rp.stages, rp.i, plan.aware, f);
+    stage_loop_charges(sends, &stages, chunks, model, st);
 }
 
 /// One 3D SpMM's charges: the 2D stage replay restricted to this
 /// layer's slice (only the designated-sender layer has send lists),
 /// plus the trailing fiber all-reduce over the `c` replicas.
-fn spmm_3d_charges(plan: &Plan3d, me: usize, f: u64, model: &CostModel, st: &mut RankStats) {
-    let rp = &plan.ranks[me];
-    let rows_i = (rp.row_hi - rp.row_lo) as u64;
-    let mut pack_elems = 0u64;
-    for (t, idx) in rp.send_lists.iter().enumerate() {
-        if plan.rank_of(t, rp.j, rp.l) == me || idx.is_empty() {
-            continue;
-        }
-        let bytes = if plan.aware {
-            pack_elems += idx.len() as u64 * f;
-            rows_payload_bytes(idx.len() as u64, f)
-        } else {
-            8 * rows_i * f
-        };
-        let c = st.phase_mut(Phase::P2p);
-        c.ops += 1;
-        c.bytes_sent += bytes;
-        c.modeled_seconds += model.p2p(bytes);
-    }
-    if pack_elems > 0 {
-        add_compute(st, model, pack_elems);
-    }
-    for stage in &rp.stages {
-        if stage.k == rp.i {
-            add_compute(st, model, stage.needed.len() as u64 * f);
-        } else if !stage.needed.is_empty() {
-            let bytes = if plan.aware {
-                rows_payload_bytes(stage.needed.len() as u64, f)
-            } else {
-                8 * stage.needed.len() as u64 * f
-            };
-            let c = st.phase_mut(Phase::P2p);
-            c.ops += 1;
-            c.bytes_recv += bytes;
-            c.modeled_seconds += model.p2p(bytes);
-        }
-        add_compute(st, model, 2 * stage.block_compact.nnz() as u64 * f);
-    }
-    add_allreduce(st, model, 8 * rows_i * f, plan.c);
-}
-
-/// One *pipelined* 2D SpMM's charges: replays
-/// [`crate::dist::overlap::spmm_2d_pipelined_buf`] — every outbound
-/// block lands on the first stage boundary, each section's receives
-/// settle against the previous section's multiplies.
-fn spmm_2d_pipelined_charges(
-    plan: &Plan2d,
-    me: usize,
-    f: u64,
-    chunks: usize,
-    model: &CostModel,
-    st: &mut RankStats,
-) {
-    let rp = &plan.ranks[me];
-    let rows_i = (rp.row_hi - rp.row_lo) as u64;
-    let (mut send_ops0, mut send_bytes0) = (0u64, 0u64);
-    let mut pack_elems = 0u64;
-    for (l, idx) in rp.send_lists.iter().enumerate() {
-        if plan.rank_of(l, rp.j) == me || idx.is_empty() {
-            continue;
-        }
-        let bytes = if plan.aware {
-            pack_elems += idx.len() as u64 * f;
-            rows_payload_bytes(idx.len() as u64, f)
-        } else {
-            8 * rows_i * f
-        };
-        send_ops0 += 1;
-        send_bytes0 += bytes;
-        let c = st.phase_mut(Phase::P2p);
-        c.ops += 1;
-        c.bytes_sent += bytes;
-    }
-    if pack_elems > 0 {
-        add_compute(st, model, pack_elems);
-    }
-
-    let groups = chunk_groups(rp.stages.len(), chunks);
-    let mut prev_compute = 0.0f64;
-    for (g, &(slo, shi)) in groups.iter().enumerate() {
-        let (mut recv_ops, mut recv_bytes) = (0u64, 0u64);
-        for stage in &rp.stages[slo..shi] {
-            if stage.k != rp.i && !stage.needed.is_empty() {
-                let bytes = if plan.aware {
-                    rows_payload_bytes(stage.needed.len() as u64, f)
-                } else {
-                    8 * stage.needed.len() as u64 * f
-                };
-                recv_ops += 1;
-                recv_bytes += bytes;
-                let c = st.phase_mut(Phase::P2p);
-                c.ops += 1;
-                c.bytes_recv += bytes;
-            }
-        }
-        let (s_ops, s_bytes) = if g == 0 {
-            (send_ops0, send_bytes0)
-        } else {
-            (0, 0)
-        };
-        let send_cost = s_ops as f64 * model.alpha + s_bytes as f64 * model.beta;
-        let recv_cost = recv_ops as f64 * model.alpha + recv_bytes as f64 * model.beta;
-        add_overlap_boundary(st, send_cost.max(recv_cost), prev_compute);
-
-        prev_compute = 0.0;
-        for stage in &rp.stages[slo..shi] {
-            if stage.k == rp.i {
-                let gather = stage.needed.len() as u64 * f;
-                add_compute(st, model, gather);
-                prev_compute += model.compute(gather);
-            }
-            let spmm = 2 * stage.block_compact.nnz() as u64 * f;
-            add_compute(st, model, spmm);
-            prev_compute += model.compute(spmm);
-        }
-    }
-}
-
-/// One *pipelined* 3D SpMM's charges: the 2D pipeline over this layer's
-/// stage slice, then the blocking fiber all-reduce.
-fn spmm_3d_pipelined_charges(
+fn spmm_3d_charges(
     plan: &Plan3d,
     me: usize,
     f: u64,
-    chunks: usize,
+    chunks: Option<usize>,
     model: &CostModel,
     st: &mut RankStats,
 ) {
     let rp = &plan.ranks[me];
     let rows_i = (rp.row_hi - rp.row_lo) as u64;
-    let (mut send_ops0, mut send_bytes0) = (0u64, 0u64);
-    let mut pack_elems = 0u64;
-    for (t, idx) in rp.send_lists.iter().enumerate() {
-        if plan.rank_of(t, rp.j, rp.l) == me || idx.is_empty() {
-            continue;
-        }
-        let bytes = if plan.aware {
-            pack_elems += idx.len() as u64 * f;
-            rows_payload_bytes(idx.len() as u64, f)
-        } else {
-            8 * rows_i * f
-        };
-        send_ops0 += 1;
-        send_bytes0 += bytes;
-        let c = st.phase_mut(Phase::P2p);
-        c.ops += 1;
-        c.bytes_sent += bytes;
-    }
-    if pack_elems > 0 {
-        add_compute(st, model, pack_elems);
-    }
-
-    let groups = chunk_groups(rp.stages.len(), chunks);
-    let mut prev_compute = 0.0f64;
-    for (g, &(slo, shi)) in groups.iter().enumerate() {
-        let (mut recv_ops, mut recv_bytes) = (0u64, 0u64);
-        for stage in &rp.stages[slo..shi] {
-            if stage.k != rp.i && !stage.needed.is_empty() {
-                let bytes = if plan.aware {
-                    rows_payload_bytes(stage.needed.len() as u64, f)
-                } else {
-                    8 * stage.needed.len() as u64 * f
-                };
-                recv_ops += 1;
-                recv_bytes += bytes;
-                let c = st.phase_mut(Phase::P2p);
-                c.ops += 1;
-                c.bytes_recv += bytes;
-            }
-        }
-        let (s_ops, s_bytes) = if g == 0 {
-            (send_ops0, send_bytes0)
-        } else {
-            (0, 0)
-        };
-        let send_cost = s_ops as f64 * model.alpha + s_bytes as f64 * model.beta;
-        let recv_cost = recv_ops as f64 * model.alpha + recv_bytes as f64 * model.beta;
-        add_overlap_boundary(st, send_cost.max(recv_cost), prev_compute);
-
-        prev_compute = 0.0;
-        for stage in &rp.stages[slo..shi] {
-            if stage.k == rp.i {
-                let gather = stage.needed.len() as u64 * f;
-                add_compute(st, model, gather);
-                prev_compute += model.compute(gather);
-            }
-            let spmm = 2 * stage.block_compact.nnz() as u64 * f;
-            add_compute(st, model, spmm);
-            prev_compute += model.compute(spmm);
-        }
-    }
+    let sends = (rp.send_lists.iter().enumerate())
+        .filter(|&(t, idx)| plan.rank_of(t, rp.j, rp.l) != me && !idx.is_empty())
+        .map(|(_, idx)| send_charge(idx.len(), rows_i, plan.aware, f));
+    let stages = grid_stages(&rp.stages, rp.i, plan.aware, f);
+    stage_loop_charges(sends, &stages, chunks, model, st);
     add_allreduce(st, model, 8 * rows_i * f, plan.c);
 }
 
-/// A borrowed grid plan: the 2D and 3D trainers share one epoch shape.
-enum GridPlan<'a> {
-    Two(&'a Plan2d),
-    Three(&'a Plan3d),
+impl PlanKind {
+    /// One SpMM's charges on rank `me` at operand width `f`, under the
+    /// same schedule [`PlanKind::pipeline`] hands the executor.
+    fn charge_spmm(
+        &self,
+        me: usize,
+        f: u64,
+        pipe: Option<&Pipeline>,
+        model: &CostModel,
+        st: &mut RankStats,
+    ) {
+        let chunks = match pipe {
+            Some(Pipeline::Stages(k)) => Some(*k),
+            _ => None,
+        };
+        match (self, pipe) {
+            (PlanKind::OneD { plan, aware: true }, None) => {
+                spmm_1d_aware_charges(plan, me, f, model, st)
+            }
+            (PlanKind::OneD { plan, aware: false }, None) => {
+                spmm_1d_oblivious_charges(plan, me, f, model, st)
+            }
+            (PlanKind::OneD { plan, aware }, Some(Pipeline::OneD(ov))) => {
+                if *aware {
+                    spmm_1d_aware_pipelined_charges(plan, ov, me, f, model, st)
+                } else {
+                    spmm_1d_oblivious_pipelined_charges(plan, ov, me, f, model, st)
+                }
+            }
+            (PlanKind::OneD { .. }, Some(Pipeline::Stages(_))) => {
+                unreachable!("pipeline state built for another plan")
+            }
+            (PlanKind::OneFiveD { plan, aware }, _) => {
+                spmm_15d_charges(plan, me, f, *aware, chunks, model, st)
+            }
+            (PlanKind::TwoD(pl), _) => spmm_2d_charges(pl, me, f, chunks, model, st),
+            (PlanKind::ThreeD(pl), _) => spmm_3d_charges(pl, me, f, chunks, model, st),
+        }
+    }
 }
 
-/// One grid rank's full training charges: replays
-/// [`crate::dist::trainer`]'s grid program op-for-op — panel slices, the
-/// 2D/3D SpMM, the partial `× W` GEMM, the grid-row `Z`/`AᵀG`
-/// all-reduces (`pc` ranks), the global loss and weight-gradient
-/// all-reduces (`p` ranks), and the full-width local backward steps.
-fn grid_rank_charges(
-    input: &AnalyticInput<'_>,
-    gp: &GridPlan<'_>,
-    me: usize,
-    p: usize,
-) -> RankStats {
+/// One rank's charges over `input.epochs` fault-free epochs: replays
+/// [`crate::dist::trainer`]'s rank program op for op — for a grid rank
+/// also the panel slices and the grid-row `Z`/`AᵀG` all-reduces, then
+/// the global loss and weight-gradient all-reduces (`p` ranks) and the
+/// full-width local backward steps.
+fn rank_charges(input: &AnalyticInput<'_>, plan: &PlanKind, me: usize, p: usize) -> RankStats {
     let model = &input.model;
     let dims = input.dims;
     let l_total = dims.len() - 1;
+    let (lo, hi) = plan.rows(me);
+    let rows = (hi - lo) as u64;
+    let panel = plan.panel(me);
+    let panel = panel.as_ref();
+    let width = |f: usize| -> u64 {
+        let (flo, fhi) = panel_cols(panel, f);
+        (fhi - flo) as u64
+    };
+    let pipe = plan.pipeline(me, input.overlap);
     let mut st = RankStats::default();
-    let (grid_j, rows, pc) = match gp {
-        GridPlan::Two(pl) => {
-            let rp = &pl.ranks[me];
-            (rp.j, (rp.row_hi - rp.row_lo) as u64, pl.pc)
-        }
-        GridPlan::Three(pl) => {
-            let rp = &pl.ranks[me];
-            (rp.j, (rp.row_hi - rp.row_lo) as u64, pl.pc)
-        }
-    };
-    let panel_width = |f: usize| -> u64 {
-        let b = spmat::gen::sbm::block_bounds(f, pc);
-        (b[grid_j + 1] - b[grid_j]) as u64
-    };
-    let overlap = input.overlap;
-    let charge_spmm = |st: &mut RankStats, f: u64| match gp {
-        GridPlan::Two(pl) => {
-            if overlap.enabled {
-                spmm_2d_pipelined_charges(pl, me, f, overlap.chunks, model, st)
-            } else {
-                spmm_2d_charges(pl, me, f, model, st)
-            }
-        }
-        GridPlan::Three(pl) => {
-            if overlap.enabled {
-                spmm_3d_pipelined_charges(pl, me, f, overlap.chunks, model, st)
-            } else {
-                spmm_3d_charges(pl, me, f, model, st)
-            }
-        }
-    };
 
     for _epoch in 0..input.epochs {
         // Forward.
         for l in 0..l_total {
             let d_out = dims[l + 1] as u64;
-            let ipw = panel_width(dims[l]);
-            add_compute(&mut st, model, rows * ipw); // own input panel
-            charge_spmm(&mut st, ipw);
+            let ipw = width(dims[l]);
+            if panel.is_some() {
+                add_compute(&mut st, model, rows * ipw); // own input panel
+            }
+            plan.charge_spmm(me, ipw, pipe.as_ref(), model, &mut st);
             let gemm = match input.arch {
                 ArchKind::Gcn => 2 * rows * ipw * d_out,
                 ArchKind::Sage => 4 * rows * ipw * d_out + rows * d_out,
             };
             add_compute(&mut st, model, gemm);
-            add_allreduce(&mut st, model, 8 * rows * d_out, pc); // grid-row Z
+            if let Some(pn) = panel {
+                add_allreduce(&mut st, model, 8 * rows * d_out, pn.pc); // grid-row Z
+            }
             if l + 1 < l_total {
                 add_compute(&mut st, model, rows * d_out); // relu
             }
@@ -679,13 +511,17 @@ fn grid_rank_charges(
         // Backward.
         for l in (0..l_total).rev() {
             let (d, d_out) = (dims[l] as u64, dims[l + 1] as u64);
-            let ipw = panel_width(dims[l]);
-            let opw = panel_width(dims[l + 1]);
-            add_compute(&mut st, model, rows * opw); // own gradient panel
-            charge_spmm(&mut st, opw);
-            add_compute(&mut st, model, rows * opw); // reassemble AᵀG panel
-            add_allreduce(&mut st, model, 8 * rows * d_out, pc); // grid-row AᵀG
-            add_compute(&mut st, model, rows * ipw); // H panel slice
+            let ipw = width(dims[l]);
+            let opw = width(dims[l + 1]);
+            if panel.is_some() {
+                add_compute(&mut st, model, rows * opw); // own gradient panel
+            }
+            plan.charge_spmm(me, opw, pipe.as_ref(), model, &mut st);
+            if let Some(pn) = panel {
+                add_compute(&mut st, model, rows * opw); // reassemble AᵀG panel
+                add_allreduce(&mut st, model, 8 * rows * d_out, pn.pc); // grid-row AᵀG
+                add_compute(&mut st, model, rows * ipw); // H panel slice
+            }
             let (y_flops, w_in) = match input.arch {
                 ArchKind::Gcn => (2 * rows * ipw * d_out, d),
                 ArchKind::Sage => (4 * rows * ipw * d_out, 2 * d),
@@ -706,144 +542,8 @@ fn grid_rank_charges(
 
 /// Estimates the full training stats (all epochs) without executing.
 pub fn estimate(input: &AnalyticInput<'_>) -> WorldStats {
-    let dims = input.dims;
-    let l_total = dims.len() - 1;
-    let model = &input.model;
-
-    enum P {
-        OneD(Plan1d, bool),
-        OneFiveD(Plan15d, bool),
-        TwoD(Plan2d),
-        ThreeD(Plan3d),
-    }
-    let (p, plan) = match input.algo {
-        Algo::OneD { aware } => {
-            let p = input.bounds.len() - 1;
-            (p, P::OneD(Plan1d::build(input.adj, input.bounds), aware))
-        }
-        Algo::OneFiveD { aware, c } => {
-            let pr = input.bounds.len() - 1;
-            let p = pr * c;
-            (
-                p,
-                P::OneFiveD(Plan15d::build(input.adj, p, c, input.bounds, aware), aware),
-            )
-        }
-        Algo::TwoD { aware, pc } => {
-            let pr = input.bounds.len() - 1;
-            let p = pr * pc;
-            (
-                p,
-                P::TwoD(Plan2d::build(input.adj, pr, pc, input.bounds, aware)),
-            )
-        }
-        Algo::ThreeD { aware, pc, c } => {
-            let pr = input.bounds.len() - 1;
-            let p = pr * pc * c;
-            (
-                p,
-                P::ThreeD(Plan3d::build(input.adj, pr, pc, c, input.bounds, aware)),
-            )
-        }
-    };
-
-    // The grid trainers have their own epoch shape (panel slices and
-    // grid-row reductions); replay them separately.
-    match &plan {
-        P::TwoD(pl) => {
-            let gp = GridPlan::Two(pl);
-            let per_rank = (0..p)
-                .map(|me| grid_rank_charges(input, &gp, me, p))
-                .collect();
-            return WorldStats::new(per_rank);
-        }
-        P::ThreeD(pl) => {
-            let gp = GridPlan::Three(pl);
-            let per_rank = (0..p)
-                .map(|me| grid_rank_charges(input, &gp, me, p))
-                .collect();
-            return WorldStats::new(per_rank);
-        }
-        _ => {}
-    }
-
-    let mut per_rank = Vec::with_capacity(p);
-    for me in 0..p {
-        let mut st = RankStats::default();
-        let rows = match &plan {
-            P::OneD(pl, _) => pl.rows_of(me) as u64,
-            P::OneFiveD(pl, _) => {
-                let rp = &pl.ranks[me];
-                (rp.row_hi - rp.row_lo) as u64
-            }
-            P::TwoD(_) | P::ThreeD(_) => unreachable!("grid plans replayed above"),
-        };
-        // Sparsity-derived chunking for the pipelined replay, built
-        // once per rank exactly like the executor does.
-        let ov_plan: Option<OverlapPlan1d> = match (&plan, input.overlap.enabled) {
-            (P::OneD(pl, aware), true) => {
-                Some(OverlapPlan1d::build(pl, me, input.overlap.chunks, *aware))
-            }
-            _ => None,
-        };
-        let overlap = input.overlap;
-        let charge_spmm = |st: &mut RankStats, f: u64| match &plan {
-            P::OneD(pl, true) => match &ov_plan {
-                Some(ov) => spmm_1d_aware_pipelined_charges(pl, ov, me, f, model, st),
-                None => spmm_1d_aware_charges(pl, me, f, model, st),
-            },
-            P::OneD(pl, false) => match &ov_plan {
-                Some(ov) => spmm_1d_oblivious_pipelined_charges(pl, ov, me, f, model, st),
-                None => spmm_1d_oblivious_charges(pl, me, f, model, st),
-            },
-            P::OneFiveD(pl, aware) => {
-                if overlap.enabled {
-                    spmm_15d_pipelined_charges(pl, me, f, *aware, overlap.chunks, model, st)
-                } else {
-                    spmm_15d_charges(pl, me, f, *aware, model, st)
-                }
-            }
-            P::TwoD(_) | P::ThreeD(_) => unreachable!("grid plans replayed above"),
-        };
-
-        for _epoch in 0..input.epochs {
-            // Forward.
-            for l in 0..l_total {
-                let (d, d_out) = (dims[l] as u64, dims[l + 1] as u64);
-                charge_spmm(&mut st, d);
-                let gemm = match input.arch {
-                    ArchKind::Gcn => 2 * rows * d * d_out,
-                    ArchKind::Sage => 4 * rows * d * d_out + rows * d_out,
-                };
-                add_compute(&mut st, model, gemm);
-                if l + 1 < l_total {
-                    add_compute(&mut st, model, rows * d_out);
-                }
-            }
-            // Loss reduction: [loss_sum, count, correct].
-            add_allreduce(&mut st, model, 24, p);
-            // Backward.
-            for l in (0..l_total).rev() {
-                let (d, d_out) = (dims[l] as u64, dims[l + 1] as u64);
-                charge_spmm(&mut st, d_out);
-                let (y_flops, w_in) = match input.arch {
-                    ArchKind::Gcn => (2 * rows * d * d_out, d),
-                    ArchKind::Sage => (4 * rows * d * d_out, 2 * d),
-                };
-                add_compute(&mut st, model, y_flops);
-                add_allreduce(&mut st, model, 8 * w_in * d_out, p);
-                if l > 0 {
-                    let prop = match input.arch {
-                        ArchKind::Gcn => 2 * rows * d_out * d + 2 * rows * d,
-                        ArchKind::Sage => 4 * rows * d_out * d + 3 * rows * d,
-                    };
-                    add_compute(&mut st, model, prop);
-                }
-            }
-        }
-        per_rank.push(st);
-    }
-    WorldStats::new(per_rank)
+    let (p, plan) = build_plan(input.adj, input.bounds, input.algo);
+    WorldStats::new((0..p).map(|me| rank_charges(input, &plan, me, p)).collect())
 }
 
 #[cfg(test)]

@@ -40,7 +40,7 @@ use crate::model::Weights;
 use crate::reference::EpochRecord;
 
 use super::checkpoint::{CheckpointBackend, DiskCheckpointStore};
-use super::trainer::{build_plan, run_rank, DistConfig, DistOutcome};
+use super::trainer::{assert_dims_match, build_plan, run_rank, DistConfig, DistOutcome};
 
 /// Poll period for child-process liveness.
 const POLL: Duration = Duration::from_millis(25);
@@ -92,7 +92,8 @@ pub fn run_rank_proc(
         !cfg.robust.failover,
         "replica failover is not supported on the process backend"
     );
-    let (p, plan) = build_plan(ds, bounds, cfg);
+    assert_dims_match(ds, &cfg.gcn);
+    let (p, plan) = build_plan(&ds.norm_adj, bounds, cfg.algo);
     let mut world = ProcWorld::new(p, cfg.model, dir)
         .with_timeout(cfg.robust.timeout)
         .with_tracing(cfg.trace);

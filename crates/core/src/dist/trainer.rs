@@ -1,22 +1,29 @@
 //! The SPMD GCN trainer: full forward/backward/SGD training where every
-//! SpMM runs through one of the four distributed algorithm variants.
+//! SpMM runs through one of the four distributed algorithm families.
 //!
 //! Every rank holds its block of `H⁰`, labels and mask; weights are
 //! replicated (deterministic seeded init) and kept consistent by
 //! all-reducing the weight gradients, exactly as the paper's
 //! formulation (§4.1 "W is fully-replicated").
 //!
+//! One rank program (`run_rank`) serves 1D, 1.5D, 2D and 3D alike:
+//! the families differ only in what their `PlanKind` answers — owned
+//! rows, an optional feature panel, the replication, and the SpMM
+//! dispatch. Every epoch runs as an *attempt* that computes gradients
+//! and a record without touching training state; a commit gate then
+//! applies the optimizer step, the record and the checkpoint.
+//!
 //! # Recovery ladder
 //!
-//! [`try_train_distributed`] wraps the epoch loop in a supervisor with
-//! an escalating recovery ladder:
+//! [`try_train_distributed`] wraps the rank program in a supervisor
+//! with an escalating recovery ladder:
 //!
 //! 1. **Retransmit** — dropped/corrupted frames are re-sent by the
 //!    transport layer in [`gnn_comm`]; invisible here beyond stats.
 //! 2. **Replica failover** (1.5D with [`RobustnessConfig::failover`]) —
 //!    a rank crash mid-epoch aborts the epoch attempt on every
 //!    survivor; the dead rank's duties are reassigned to a same-row
-//!    replica and the epoch re-runs *in the same world*, producing
+//!    replica and the attempt re-runs *in the same world*, producing
 //!    bit-identical results with no restart.
 //! 3. **Checkpoint restart** — an unrecoverable-in-place loss (a whole
 //!    replica group dead, or any crash without failover) tears the
@@ -39,7 +46,7 @@ use gnn_comm::{
     ThreadWorld, WorldError, WorldStats, WorldTrace,
 };
 use spmat::dataset::Dataset;
-use spmat::Dense;
+use spmat::{Csr, Dense};
 
 use crate::model::{softmax_cross_entropy_sums, ArchKind, GcnConfig, Weights};
 use crate::optim::Optimizer;
@@ -188,8 +195,8 @@ pub struct DistConfig {
     /// while later chunks are in flight). Results are bit-identical to
     /// the blocking schedule and logical volumes are unchanged; only
     /// the modeled time attribution moves (exposed comm lands in
-    /// [`Phase::Overlap`]). Ignored by the degraded-mode failover path,
-    /// which always runs its blocking schedule.
+    /// [`Phase::Overlap`]). Under failover only degraded epochs (a
+    /// sealed rank death) run the blocking failover schedule.
     pub overlap: OverlapConfig,
     /// Hostfile for the process backend: switches the rank mesh from
     /// Unix-domain sockets to TCP listeners at the listed `host[:port]`
@@ -245,54 +252,216 @@ pub struct DistOutcome {
     pub resume_points: Vec<usize>,
 }
 
+/// One algorithm family's communication plan. Its methods are the only
+/// places the rank program and the analytic replay branch on the family.
 pub(crate) enum PlanKind {
-    OneD(Plan1d),
+    OneD { plan: Plan1d, aware: bool },
     OneFiveD { plan: Plan15d, aware: bool },
     TwoD(Plan2d),
     ThreeD(Plan3d),
 }
 
-/// Derives the world size and builds the communication plan for `cfg`'s
-/// algorithm over `bounds` (shared by the thread supervisor and the
-/// process-backend child).
-pub(crate) fn build_plan(ds: &Dataset, bounds: &[usize], cfg: &DistConfig) -> (usize, PlanKind) {
-    assert_eq!(cfg.gcn.dims[0], ds.f(), "input width mismatch");
+/// A grid rank's feature panel. Activations stay full-width and
+/// replicated across the grid row; only the SpMM operands are the
+/// rank's own column panel, and the dense layer sums the panels back
+/// together over [`Panel::row_group`].
+pub(crate) struct Panel {
+    /// Grid column: which of the `pc` panels this rank owns.
+    grid_j: usize,
+    /// Panels per feature dimension (grid columns).
+    pub(crate) pc: usize,
+    /// The `pc` ranks of this rank's grid row (within its layer).
+    row_group: Vec<usize>,
+}
+
+/// Column range `[lo, hi)` of `panel` in a width-`f` dimension; the
+/// whole width without a panel.
+pub(crate) fn panel_cols(panel: Option<&Panel>, f: usize) -> (usize, usize) {
+    match panel {
+        Some(pn) => {
+            let b = spmat::gen::sbm::block_bounds(f, pn.pc);
+            (b[pn.grid_j], b[pn.grid_j + 1])
+        }
+        None => (0, f),
+    }
+}
+
+/// Rank-local state of the pipelined SpMM schedule (`cfg.overlap` on).
+pub(crate) enum Pipeline {
+    /// 1D: sparsity-derived peer chunking, built once per rank.
+    OneD(OverlapPlan1d),
+    /// 1.5D/2D/3D: the stage loop folded in this many chunks.
+    Stages(usize),
+}
+
+impl PlanKind {
+    /// The block row `[lo, hi)` rank `me` owns.
+    pub(crate) fn rows(&self, me: usize) -> (usize, usize) {
+        match self {
+            PlanKind::OneD { plan, .. } => (plan.ranks[me].row_lo, plan.ranks[me].row_hi),
+            PlanKind::OneFiveD { plan, .. } => (plan.ranks[me].row_lo, plan.ranks[me].row_hi),
+            PlanKind::TwoD(pl) => (pl.ranks[me].row_lo, pl.ranks[me].row_hi),
+            PlanKind::ThreeD(pl) => (pl.ranks[me].row_lo, pl.ranks[me].row_hi),
+        }
+    }
+
+    /// Rank `me`'s feature panel: `Some` for every grid plan (pc = 1
+    /// included), `None` for 1D/1.5D.
+    pub(crate) fn panel(&self, me: usize) -> Option<Panel> {
+        match self {
+            PlanKind::OneD { .. } | PlanKind::OneFiveD { .. } => None,
+            PlanKind::TwoD(pl) => {
+                let rp = &pl.ranks[me];
+                Some(Panel {
+                    grid_j: rp.j,
+                    pc: pl.pc,
+                    row_group: (0..pl.pc).map(|j| pl.rank_of(rp.i, j)).collect(),
+                })
+            }
+            PlanKind::ThreeD(pl) => {
+                let rp = &pl.ranks[me];
+                Some(Panel {
+                    grid_j: rp.j,
+                    pc: pl.pc,
+                    row_group: (0..pl.pc).map(|j| pl.rank_of(rp.i, j, rp.l)).collect(),
+                })
+            }
+        }
+    }
+
+    /// Identical layer copies `c` of every rank's weight-gradient block
+    /// (1 for 1D and 2D).
+    fn layers(&self) -> usize {
+        match self {
+            PlanKind::OneD { .. } | PlanKind::TwoD(_) => 1,
+            PlanKind::OneFiveD { plan, .. } => plan.c,
+            PlanKind::ThreeD(pl) => pl.c,
+        }
+    }
+
+    /// Ranks holding each block row (`pc·c`): the duplication divided
+    /// out of the all-reduced masked count.
+    fn row_copies(&self) -> usize {
+        let pc = match self {
+            PlanKind::TwoD(pl) => pl.pc,
+            PlanKind::ThreeD(pl) => pl.pc,
+            PlanKind::OneD { .. } | PlanKind::OneFiveD { .. } => 1,
+        };
+        pc * self.layers()
+    }
+
+    /// Rank `me`'s pipelined-schedule state, when `overlap` is on.
+    pub(crate) fn pipeline(&self, me: usize, overlap: OverlapConfig) -> Option<Pipeline> {
+        match self {
+            _ if !overlap.enabled => None,
+            PlanKind::OneD { plan, aware } => Some(Pipeline::OneD(OverlapPlan1d::build(
+                plan,
+                me,
+                overlap.chunks,
+                *aware,
+            ))),
+            _ => Some(Pipeline::Stages(overlap.chunks)),
+        }
+    }
+
+    /// One distributed SpMM `Â·h` of this rank's operand: the degraded
+    /// 1.5D failover SpMM when `degraded` names dead ranks, else the
+    /// pipelined schedule when `pipe` is set, else the blocking one.
+    fn spmm(
+        &self,
+        ctx: &mut RankCtx,
+        h: &Dense,
+        pipe: Option<&Pipeline>,
+        degraded: Option<&FailoverView>,
+        bufs: &mut EpochBuffers,
+    ) -> Dense {
+        if let Some(view) = degraded {
+            let PlanKind::OneFiveD { plan, aware } = self else {
+                unreachable!("failover views exist only for 1.5D plans")
+            };
+            return spmm_15d_failover_buf(ctx, plan, view, h, *aware, bufs);
+        }
+        match (self, pipe) {
+            (PlanKind::OneD { plan, aware: true }, None) => spmm_1d_aware_buf(ctx, plan, h, bufs),
+            (PlanKind::OneD { plan, aware: false }, None) => {
+                spmm_1d_oblivious_buf(ctx, plan, h, bufs)
+            }
+            (PlanKind::OneD { plan, aware }, Some(Pipeline::OneD(ov))) => {
+                if *aware {
+                    spmm_1d_aware_pipelined_buf(ctx, plan, h, ov, bufs)
+                } else {
+                    spmm_1d_oblivious_pipelined_buf(ctx, plan, h, ov, bufs)
+                }
+            }
+            (PlanKind::OneFiveD { plan, aware }, None) => spmm_15d_buf(ctx, plan, h, *aware, bufs),
+            (PlanKind::OneFiveD { plan, aware }, Some(Pipeline::Stages(k))) => {
+                spmm_15d_pipelined_buf(ctx, plan, h, *aware, *k, bufs)
+            }
+            (PlanKind::TwoD(pl), None) => spmm_2d_buf(ctx, pl, h, bufs),
+            (PlanKind::TwoD(pl), Some(Pipeline::Stages(k))) => {
+                spmm_2d_pipelined_buf(ctx, pl, h, *k, bufs)
+            }
+            (PlanKind::ThreeD(pl), None) => spmm_3d_buf(ctx, pl, h, bufs),
+            (PlanKind::ThreeD(pl), Some(Pipeline::Stages(k))) => {
+                spmm_3d_pipelined_buf(ctx, pl, h, *k, bufs)
+            }
+            _ => unreachable!("pipeline state built for another plan"),
+        }
+    }
+
+    /// This attempt's failover view when it is degraded: built from the
+    /// sealed death set (identical on every rank without communication)
+    /// in a failover world, `None` when nobody is dead or failover is
+    /// off.
+    fn degraded_view(&self, ctx: &mut RankCtx) -> Option<FailoverView> {
+        match self {
+            PlanKind::OneFiveD { plan, .. } if ctx.failover_enabled() => {
+                Some(FailoverView::compute(ctx, plan)).filter(FailoverView::is_degraded)
+            }
+            _ => None,
+        }
+    }
+}
+
+/// Builds the communication plan for `algo` over the block-row
+/// `bounds` and derives the world size (shared by the thread
+/// supervisor, the process-backend child and the analytic model).
+pub(crate) fn build_plan(adj: &Csr, bounds: &[usize], algo: Algo) -> (usize, PlanKind) {
+    let pr = bounds.len() - 1;
+    match algo {
+        Algo::OneD { aware } => (
+            pr,
+            PlanKind::OneD {
+                plan: Plan1d::build(adj, bounds),
+                aware,
+            },
+        ),
+        Algo::OneFiveD { aware, c } => (
+            pr * c,
+            PlanKind::OneFiveD {
+                plan: Plan15d::build(adj, pr * c, c, bounds, aware),
+                aware,
+            },
+        ),
+        Algo::TwoD { aware, pc } => (
+            pr * pc,
+            PlanKind::TwoD(Plan2d::build(adj, pr, pc, bounds, aware)),
+        ),
+        Algo::ThreeD { aware, pc, c } => (
+            pr * pc * c,
+            PlanKind::ThreeD(Plan3d::build(adj, pr, pc, c, bounds, aware)),
+        ),
+    }
+}
+
+/// Panics unless the model's input and output widths fit `ds`.
+pub(crate) fn assert_dims_match(ds: &Dataset, gcn: &GcnConfig) {
+    assert_eq!(gcn.dims[0], ds.f(), "input width mismatch");
     assert_eq!(
-        *cfg.gcn.dims.last().unwrap(),
+        *gcn.dims.last().unwrap(),
         ds.num_classes,
         "class count mismatch"
     );
-    match cfg.algo {
-        Algo::OneD { aware: _ } => {
-            let p = bounds.len() - 1;
-            (p, PlanKind::OneD(Plan1d::build(&ds.norm_adj, bounds)))
-        }
-        Algo::OneFiveD { aware, c } => {
-            let pr = bounds.len() - 1;
-            let p = pr * c;
-            (
-                p,
-                PlanKind::OneFiveD {
-                    plan: Plan15d::build(&ds.norm_adj, p, c, bounds, aware),
-                    aware,
-                },
-            )
-        }
-        Algo::TwoD { aware, pc } => {
-            let pr = bounds.len() - 1;
-            (
-                pr * pc,
-                PlanKind::TwoD(Plan2d::build(&ds.norm_adj, pr, pc, bounds, aware)),
-            )
-        }
-        Algo::ThreeD { aware, pc, c } => {
-            let pr = bounds.len() - 1;
-            (
-                pr * pc * c,
-                PlanKind::ThreeD(Plan3d::build(&ds.norm_adj, pr, pc, c, bounds, aware)),
-            )
-        }
-    }
 }
 
 /// Trains a GCN on `ds` (already permuted so parts are contiguous).
@@ -332,7 +501,8 @@ pub fn try_train_distributed_with_store(
     cfg: &DistConfig,
     store: &dyn CheckpointBackend,
 ) -> Result<DistOutcome, WorldError> {
-    let (p, plan) = build_plan(ds, bounds, cfg);
+    assert_dims_match(ds, &cfg.gcn);
+    let (p, plan) = build_plan(&ds.norm_adj, bounds, cfg.algo);
 
     // One injector for the whole supervised run: a crash fault that
     // fired in attempt k must not re-fire in attempt k+1.
@@ -356,22 +526,21 @@ pub fn try_train_distributed_with_store(
         if let Some(inj) = &injector {
             world = world.with_injector(inj.clone());
         }
-        let run = if let (true, PlanKind::OneFiveD { plan: pl, aware }) = (use_failover, &plan) {
-            world
-                .try_run_failover(|ctx| run_rank_failover(ctx, ds, cfg, pl, *aware, store))
-                .map(|(results, stats, trace)| {
-                    // Survivors hold identical replicated results; dead
-                    // ranks' slots are `None`.
-                    let (records, weights) = results
-                        .into_iter()
-                        .flatten()
-                        .next()
-                        .expect("a completed failover run has at least one survivor");
-                    (records, weights, stats, trace)
-                })
+        let rank = |ctx: &mut RankCtx| run_rank(ctx, ds, cfg, &plan, store);
+        let run = if use_failover {
+            world.try_run_failover(rank).map(|(results, stats, trace)| {
+                // Survivors hold identical replicated results; dead
+                // ranks' slots are `None`.
+                let (records, weights) = results
+                    .into_iter()
+                    .flatten()
+                    .next()
+                    .expect("a completed failover run has at least one survivor");
+                (records, weights, stats, trace)
+            })
         } else {
             world
-                .try_run_traced(|ctx| run_rank(ctx, ds, cfg, &plan, store))
+                .try_run_traced(rank)
                 .map(|(mut results, stats, trace)| {
                     let (records, weights) = results.swap_remove(0);
                     (records, weights, stats, trace)
@@ -398,8 +567,24 @@ pub fn try_train_distributed_with_store(
     }
 }
 
-/// One rank's whole training program: restore from the shared
-/// checkpoint (if any), run the remaining epochs, snapshot periodically.
+/// One rank's whole training program, for every algorithm: restore
+/// from the shared checkpoint (if any), then run each remaining epoch
+/// as an attempt. The attempt computes the epoch's gradients and record
+/// without touching training state; only a committed attempt steps the
+/// optimizer, appends the record and snapshots. Outside failover mode
+/// every attempt commits. In a failover world a death aborts the
+/// attempt on every survivor ([`EpochAbortPanic`]), and the epoch
+/// re-runs with the dead rank's duties reassigned via [`FailoverView`].
+///
+/// The four families differ only in what [`PlanKind`] answers: the
+/// owned rows, an optional feature [`Panel`] (2D/3D), the replication
+/// and the SpMM dispatch. A grid rank keeps `H`/`Z` full-width and
+/// replicated across its grid row: per layer it slices its own panel,
+/// runs the SpMM on it, multiplies the panel against the matching rows
+/// of `W` and all-reduces the partial products over the grid row.
+/// Backward mirrors it: SpMM of the own gradient panel, a grid-row
+/// all-reduce reassembles the full-width `AᵀG`, and the rank fills its
+/// panel's rows of the weight gradient.
 pub(crate) fn run_rank(
     ctx: &mut RankCtx,
     ds: &Dataset,
@@ -407,36 +592,21 @@ pub(crate) fn run_rank(
     plan: &PlanKind,
     store: &dyn CheckpointBackend,
 ) -> (Vec<EpochRecord>, Weights) {
-    // The grid algorithms additionally split feature panels across grid
-    // columns, which changes the dense-layer data flow; they get their
-    // own epoch loop.
-    if matches!(plan, PlanKind::TwoD(_) | PlanKind::ThreeD(_)) {
-        return run_rank_grid(ctx, ds, cfg, plan, store);
-    }
-    let aware_1d = matches!(cfg.algo, Algo::OneD { aware: true });
-    let c_rep = cfg.algo.replication() as f64;
-
-    // Resolve this rank's block row.
-    let (lo, hi) = match plan {
-        PlanKind::OneD(pl) => {
-            let rp = &pl.ranks[ctx.rank()];
-            (rp.row_lo, rp.row_hi)
-        }
-        PlanKind::OneFiveD { plan: pl, .. } => {
-            let rp = &pl.ranks[ctx.rank()];
-            (rp.row_lo, rp.row_hi)
-        }
-        PlanKind::TwoD(_) | PlanKind::ThreeD(_) => unreachable!("dispatched above"),
-    };
+    let me = ctx.rank();
+    let (lo, hi) = plan.rows(me);
     let rows = hi - lo;
     let h0 = ds.features.row_slice(lo, hi);
     let labels = &ds.labels[lo..hi];
     let mask = &ds.train_mask[lo..hi];
+    let panel = plan.panel(me);
+    let panel = panel.as_ref();
+    let pipe = plan.pipeline(me, cfg.overlap);
+    let all_group: Vec<usize> = (0..ctx.p()).collect();
 
     // Resume point: the checkpoint holds replicated state, so every
     // rank restores the identical (checksum-verified) snapshot without
     // communicating.
-    let (start_epoch, mut weights, mut optimizer, mut records) = match store.restore() {
+    let (mut epoch, mut weights, mut optimizer, mut records) = match store.restore() {
         Some(ck) => (ck.next_epoch, ck.weights, ck.optimizer, ck.records),
         None => (
             0,
@@ -447,618 +617,81 @@ pub(crate) fn run_rank(
     };
     let l_total = cfg.gcn.layers();
     let dims = &cfg.gcn.dims;
+    let arch = cfg.gcn.arch;
 
-    // Per-rank scratch: every O(n·f) temporary of the epoch loop —
-    // activations, SpMM accumulators, send/recv staging — cycles through
-    // this pool, so steady-state epochs stay off the allocator.
+    // Per-rank scratch: every O(n·f) temporary of an epoch cycles
+    // through this pool, and the layer stacks are reused across epochs,
+    // so steady-state epochs stay off the allocator.
     let mut bufs = EpochBuffers::new();
-
-    // Sparsity-derived chunking for the pipelined 1D variants, built
-    // once per rank and reused by every SpMM of every epoch.
-    let ov_plan: Option<OverlapPlan1d> = match (&plan, cfg.overlap.enabled) {
-        (PlanKind::OneD(pl), true) => Some(OverlapPlan1d::build(
-            pl,
-            ctx.rank(),
-            cfg.overlap.chunks,
-            aware_1d,
-        )),
-        _ => None,
-    };
-    let overlap = cfg.overlap;
-
-    let dist_spmm = |ctx: &mut RankCtx, h: &Dense, bufs: &mut EpochBuffers| -> Dense {
-        match plan {
-            PlanKind::OneD(pl) => match &ov_plan {
-                Some(ov) if aware_1d => spmm_1d_aware_pipelined_buf(ctx, pl, h, ov, bufs),
-                Some(ov) => spmm_1d_oblivious_pipelined_buf(ctx, pl, h, ov, bufs),
-                None if aware_1d => spmm_1d_aware_buf(ctx, pl, h, bufs),
-                None => spmm_1d_oblivious_buf(ctx, pl, h, bufs),
-            },
-            PlanKind::OneFiveD { plan: pl, aware } => {
-                if overlap.enabled {
-                    spmm_15d_pipelined_buf(ctx, pl, h, *aware, overlap.chunks, bufs)
-                } else {
-                    spmm_15d_buf(ctx, pl, h, *aware, bufs)
-                }
-            }
-            PlanKind::TwoD(_) | PlanKind::ThreeD(_) => unreachable!("dispatched above"),
-        }
-    };
-
-    // Layer stacks, reused across epochs (drained into `bufs` at the end
-    // of each epoch, repopulated from it at the start of the next).
     let mut hs: Vec<Dense> = Vec::with_capacity(l_total + 1);
     let mut zs: Vec<Dense> = Vec::with_capacity(l_total);
     let mut ahs: Vec<Dense> = Vec::with_capacity(l_total);
     let mut grads: Vec<Dense> = Vec::with_capacity(l_total);
 
-    for epoch in start_epoch..cfg.epochs {
-        ctx.set_epoch(epoch);
-        ctx.span_begin(SpanKind::Epoch, Phase::Other);
-        // ---- forward ----
-        ctx.span_begin(SpanKind::Forward, Phase::Other);
-        let mut h0_epoch = bufs.take_dense(rows, dims[0]);
-        h0_epoch.data_mut().copy_from_slice(h0.data());
-        hs.push(h0_epoch);
-        for l in 0..l_total {
-            let ah = dist_spmm(ctx, &hs[l], &mut bufs);
-            let w = &weights.mats[l];
-            let (d, d_out) = (dims[l], dims[l + 1]);
-            let mut z = bufs.take_dense(rows, d_out);
-            match cfg.gcn.arch {
-                ArchKind::Gcn => {
-                    ctx.compute((2 * rows * d * d_out) as u64, || ah.matmul_into(w, &mut z))
-                }
-                ArchKind::Sage => {
-                    let h_prev = &hs[l];
-                    let mut tmp = bufs.take_dense(rows, d_out);
-                    ctx.compute((4 * rows * d * d_out + rows * d_out) as u64, || {
-                        h_prev.matmul_into(&w.row_slice(0, d), &mut z);
-                        ah.matmul_into(&w.row_slice(d, 2 * d), &mut tmp);
-                        z.add_assign(&tmp);
-                    });
-                    bufs.put_dense(tmp);
-                }
-            }
-            let mut h = bufs.take_dense(rows, d_out);
-            if l + 1 == l_total {
-                h.data_mut().copy_from_slice(z.data());
-            } else {
-                ctx.compute((rows * dims[l + 1]) as u64, || z.relu_into(&mut h));
-            }
-            zs.push(z);
-            hs.push(h);
-            ahs.push(ah);
-        }
-        ctx.span_end();
-
-        // ---- loss / metrics ----
-        ctx.span_begin(SpanKind::Loss, Phase::Other);
-        let logits = &hs[l_total];
-        let (loss_sum, count, grad_sum) = softmax_cross_entropy_sums(logits, labels, mask);
-        let correct = {
-            let acc = crate::model::accuracy(logits, labels, mask);
-            acc * count as f64
-        };
-        let mut reduce = [loss_sum, count as f64, correct];
-        ctx.allreduce_sum(&mut reduce, &(0..ctx.p()).collect::<Vec<_>>());
-        let [g_loss, g_count, g_correct] = reduce;
-        records.push(EpochRecord {
-            loss: g_loss / g_count.max(1.0),
-            train_accuracy: if g_count > 0.0 {
-                g_correct / g_count
-            } else {
-                0.0
-            },
-        });
-        ctx.span_end();
-
-        // ---- backward ----
-        ctx.span_begin(SpanKind::Backward, Phase::Other);
-        // True (unreplicated) masked count normalizes the gradient.
-        let denom = (g_count / c_rep).max(1.0);
-        let mut g = grad_sum;
-        g.scale(1.0 / denom);
-
-        for l in (0..l_total).rev() {
-            let s = dist_spmm(ctx, &g, &mut bufs);
-            let h_prev = &hs[l];
-            let (d, d_out) = (dims[l], dims[l + 1]);
-            let mut y = match cfg.gcn.arch {
-                ArchKind::Gcn => {
-                    let mut y = bufs.take_dense(d, d_out);
-                    ctx.compute((2 * rows * d * d_out) as u64, || {
-                        h_prev.transpose_matmul_into(&s, &mut y)
-                    });
-                    y
-                }
-                ArchKind::Sage => {
-                    let ah = &ahs[l];
-                    let g_ref = &g;
-                    let mut top = bufs.take_dense(d, d_out);
-                    let mut bottom = bufs.take_dense(d, d_out);
-                    ctx.compute((4 * rows * d * d_out) as u64, || {
-                        h_prev.transpose_matmul_into(g_ref, &mut top);
-                        ah.transpose_matmul_into(g_ref, &mut bottom);
-                    });
-                    let mut y = bufs.take_dense(2 * d, d_out);
-                    y.data_mut()[..d * d_out].copy_from_slice(top.data());
-                    y.data_mut()[d * d_out..].copy_from_slice(bottom.data());
-                    bufs.put_dense(top);
-                    bufs.put_dense(bottom);
-                    y
-                }
-            };
-            ctx.allreduce_sum(y.data_mut(), &(0..ctx.p()).collect::<Vec<_>>());
-            // Replicated rows contributed c times each.
-            y.scale(1.0 / c_rep);
-            grads.push(y); // reverse layer order; fixed up below
-            if l > 0 {
-                let w = &weights.mats[l];
-                let prev_z = &zs[l - 1];
-                let mut gg = bufs.take_dense(rows, d);
-                let mut tmp = bufs.take_dense(rows, d);
-                match cfg.gcn.arch {
-                    ArchKind::Gcn => {
-                        ctx.compute((2 * rows * d_out * d + 2 * rows * d) as u64, || {
-                            s.matmul_transpose_into(w, &mut gg);
-                            prev_z.relu_prime_into(&mut tmp);
-                            gg.hadamard_assign(&tmp);
-                        })
-                    }
-                    ArchKind::Sage => {
-                        let g_ref = &g;
-                        ctx.compute((4 * rows * d_out * d + 3 * rows * d) as u64, || {
-                            g_ref.matmul_transpose_into(&w.row_slice(0, d), &mut gg);
-                            s.matmul_transpose_into(&w.row_slice(d, 2 * d), &mut tmp);
-                            gg.add_assign(&tmp);
-                            prev_z.relu_prime_into(&mut tmp);
-                            gg.hadamard_assign(&tmp);
-                        })
-                    }
-                }
-                bufs.put_dense(tmp);
-                bufs.put_dense(std::mem::replace(&mut g, gg));
-            }
-            bufs.put_dense(s);
-        }
-        grads.reverse();
-        optimizer.step(&mut weights, &grads);
-        ctx.span_end();
-
-        // ---- retire epoch temporaries ----
-        bufs.put_dense(g);
-        for d in hs.drain(..).chain(zs.drain(..)).chain(ahs.drain(..)) {
-            bufs.put_dense(d);
-        }
-        for d in grads.drain(..) {
-            bufs.put_dense(d);
-        }
-
-        // ---- checkpoint ----
-        // End-of-epoch state is consistent: rank 0 could only get here
-        // by completing every collective of this epoch, and the state
-        // it snapshots is replicated on all ranks. The store checksums
-        // the snapshot and keeps the previous one as a verified
-        // fallback.
-        let every = cfg.robust.checkpoint_every;
-        if ctx.rank() == 0 && every > 0 && (epoch + 1) % every == 0 {
-            store.save(Checkpoint {
-                next_epoch: epoch + 1,
-                weights: weights.clone(),
-                optimizer: optimizer.clone(),
-                records: records.clone(),
-            });
-        }
-        ctx.span_end(); // epoch
-    }
-    (records, weights)
-}
-
-/// Copies the column panel `[lo, hi)` of `src` into a pooled matrix.
-fn slice_panel(src: &Dense, lo: usize, hi: usize, bufs: &mut EpochBuffers) -> Dense {
-    let mut out = bufs.take_dense(src.rows(), hi - lo);
-    for r in 0..src.rows() {
-        out.row_mut(r).copy_from_slice(&src.row(r)[lo..hi]);
-    }
-    out
-}
-
-/// One rank's training program on a 2D or 3D process grid.
-///
-/// The grid algorithms keep `H`/`Z` **full-width and replicated** across
-/// each grid row (and, in 3D, across the `c` layers): the panel-GEMM's
-/// grid-row all-reduce already produces the full-width product on every
-/// rank, so replication costs no extra communication, and the local
-/// backward steps (`relu'`, `·Wᵀ` propagation) stay identical to the 1D
-/// data flow. Only the SpMM operands are transient per-call panels.
-///
-/// Per layer (forward): slice the own feature panel of the full-width
-/// `H`, run the 2D/3D SpMM on it, multiply the panel against the
-/// matching rows of `W` (a partial product over the full output width),
-/// and all-reduce the partials across the grid row — giving the
-/// full-width `Z` everywhere. Backward mirrors it: SpMM of the own
-/// gradient panel, grid-row all-reduce to reassemble the full-width
-/// `AᵀG`, then the weight gradient is built from per-panel blocks
-/// (`H_panelᵀ · AᵀG` lands in rows `[panel_lo, panel_hi)` of `Y`) and
-/// all-reduced over all `p` ranks.
-///
-/// Replication bookkeeping: each block row lives on `pc·c` ranks, so
-/// the masked-count denominator divides by `pc·c`; the weight-gradient
-/// all-reduce sums `pc` *distinct* panel blocks per grid row but `c`
-/// *identical* layer copies, so only `c` is divided out of `Y`.
-fn run_rank_grid(
-    ctx: &mut RankCtx,
-    ds: &Dataset,
-    cfg: &DistConfig,
-    plan: &PlanKind,
-    store: &dyn CheckpointBackend,
-) -> (Vec<EpochRecord>, Weights) {
-    let me = ctx.rank();
-    // Geometry: grid coordinates, block row, panel splitter, and the
-    // two all-reduce groups (grid row within the layer; all ranks).
-    let (grid_i, grid_j, lo, hi, pc, cl) = match plan {
-        PlanKind::TwoD(pl) => {
-            let rp = &pl.ranks[me];
-            (rp.i, rp.j, rp.row_lo, rp.row_hi, pl.pc, 1)
-        }
-        PlanKind::ThreeD(pl) => {
-            let rp = &pl.ranks[me];
-            (rp.i, rp.j, rp.row_lo, rp.row_hi, pl.pc, pl.c)
-        }
-        _ => unreachable!("run_rank_grid is only called for grid plans"),
-    };
-    let row_group: Vec<usize> = match plan {
-        PlanKind::TwoD(pl) => (0..pc).map(|jj| pl.rank_of(grid_i, jj)).collect(),
-        PlanKind::ThreeD(pl) => {
-            let l = pl.ranks[me].l;
-            (0..pc).map(|jj| pl.rank_of(grid_i, jj, l)).collect()
-        }
-        _ => unreachable!(),
-    };
-    let all_group: Vec<usize> = (0..ctx.p()).collect();
-    let panel_bounds = |f: usize| -> Vec<usize> { spmat::gen::sbm::block_bounds(f, pc) };
-    let rep = (pc * cl) as f64;
-
-    let rows = hi - lo;
-    let h0 = ds.features.row_slice(lo, hi);
-    let labels = &ds.labels[lo..hi];
-    let mask = &ds.train_mask[lo..hi];
-
-    let (start_epoch, mut weights, mut optimizer, mut records) = match store.restore() {
-        Some(ck) => (ck.next_epoch, ck.weights, ck.optimizer, ck.records),
-        None => (
-            0,
-            Weights::init(&cfg.gcn),
-            Optimizer::from_config(&cfg.gcn),
-            Vec::with_capacity(cfg.epochs),
-        ),
-    };
-    let l_total = cfg.gcn.layers();
-    let dims = &cfg.gcn.dims;
-    let mut bufs = EpochBuffers::new();
-    let overlap = cfg.overlap;
-
-    let dist_spmm = |ctx: &mut RankCtx, h: &Dense, bufs: &mut EpochBuffers| -> Dense {
-        match plan {
-            PlanKind::TwoD(pl) => {
-                if overlap.enabled {
-                    spmm_2d_pipelined_buf(ctx, pl, h, overlap.chunks, bufs)
-                } else {
-                    spmm_2d_buf(ctx, pl, h, bufs)
-                }
-            }
-            PlanKind::ThreeD(pl) => {
-                if overlap.enabled {
-                    spmm_3d_pipelined_buf(ctx, pl, h, overlap.chunks, bufs)
-                } else {
-                    spmm_3d_buf(ctx, pl, h, bufs)
-                }
-            }
-            _ => unreachable!(),
-        }
-    };
-
-    let mut hs: Vec<Dense> = Vec::with_capacity(l_total + 1);
-    let mut zs: Vec<Dense> = Vec::with_capacity(l_total);
-    let mut ahs: Vec<Dense> = Vec::with_capacity(l_total);
-    let mut grads: Vec<Dense> = Vec::with_capacity(l_total);
-
-    for epoch in start_epoch..cfg.epochs {
-        ctx.set_epoch(epoch);
-        ctx.span_begin(SpanKind::Epoch, Phase::Other);
-        // ---- forward ----
-        ctx.span_begin(SpanKind::Forward, Phase::Other);
-        let mut h0_epoch = bufs.take_dense(rows, dims[0]);
-        h0_epoch.data_mut().copy_from_slice(h0.data());
-        hs.push(h0_epoch);
-        for l in 0..l_total {
-            let (d, d_out) = (dims[l], dims[l + 1]);
-            let ib = panel_bounds(d);
-            let (ilo, ihi) = (ib[grid_j], ib[grid_j + 1]);
-            let ipw = ihi - ilo;
-            // Own input panel of the full-width activation.
-            let h_panel = ctx.compute((rows * ipw) as u64, || {
-                slice_panel(&hs[l], ilo, ihi, &mut bufs)
-            });
-            let ah = dist_spmm(ctx, &h_panel, &mut bufs);
-            // Partial product against the panel's rows of W, then
-            // grid-row all-reduce: full-width Z on every rank.
-            let w = &weights.mats[l];
-            let mut z = bufs.take_dense(rows, d_out);
-            match cfg.gcn.arch {
-                ArchKind::Gcn => ctx.compute((2 * rows * ipw * d_out) as u64, || {
-                    ah.matmul_into(&w.row_slice(ilo, ihi), &mut z)
-                }),
-                ArchKind::Sage => {
-                    let mut tmp = bufs.take_dense(rows, d_out);
-                    ctx.compute((4 * rows * ipw * d_out + rows * d_out) as u64, || {
-                        h_panel.matmul_into(&w.row_slice(ilo, ihi), &mut z);
-                        ah.matmul_into(&w.row_slice(d + ilo, d + ihi), &mut tmp);
-                        z.add_assign(&tmp);
-                    });
-                    bufs.put_dense(tmp);
-                }
-            }
-            ctx.allreduce_sum(z.data_mut(), &row_group);
-            let mut h = bufs.take_dense(rows, d_out);
-            if l + 1 == l_total {
-                h.data_mut().copy_from_slice(z.data());
-            } else {
-                ctx.compute((rows * d_out) as u64, || z.relu_into(&mut h));
-            }
-            bufs.put_dense(h_panel);
-            zs.push(z);
-            hs.push(h);
-            ahs.push(ah);
-        }
-        ctx.span_end();
-
-        // ---- loss / metrics ----
-        ctx.span_begin(SpanKind::Loss, Phase::Other);
-        let logits = &hs[l_total];
-        let (loss_sum, count, grad_sum) = softmax_cross_entropy_sums(logits, labels, mask);
-        let correct = {
-            let acc = crate::model::accuracy(logits, labels, mask);
-            acc * count as f64
-        };
-        let mut reduce = [loss_sum, count as f64, correct];
-        ctx.allreduce_sum(&mut reduce, &all_group);
-        let [g_loss, g_count, g_correct] = reduce;
-        records.push(EpochRecord {
-            loss: g_loss / g_count.max(1.0),
-            train_accuracy: if g_count > 0.0 {
-                g_correct / g_count
-            } else {
-                0.0
-            },
-        });
-        ctx.span_end();
-
-        // ---- backward ----
-        ctx.span_begin(SpanKind::Backward, Phase::Other);
-        // Every block row is held by pc·c ranks; divide the duplicates
-        // out of the masked count.
-        let denom = (g_count / rep).max(1.0);
-        let mut g = grad_sum;
-        g.scale(1.0 / denom);
-
-        for l in (0..l_total).rev() {
-            let (d, d_out) = (dims[l], dims[l + 1]);
-            let ib = panel_bounds(d);
-            let (ilo, ihi) = (ib[grid_j], ib[grid_j + 1]);
-            let ipw = ihi - ilo;
-            let ob = panel_bounds(d_out);
-            let (olo, ohi) = (ob[grid_j], ob[grid_j + 1]);
-            let opw = ohi - olo;
-
-            // SpMM of the own gradient panel, then reassemble the
-            // full-width AᵀG by summing the disjoint panels across the
-            // grid row.
-            let g_panel = ctx.compute((rows * opw) as u64, || slice_panel(&g, olo, ohi, &mut bufs));
-            let s_panel = dist_spmm(ctx, &g_panel, &mut bufs);
-            bufs.put_dense(g_panel);
-            let mut s = bufs.take_dense(rows, d_out);
-            ctx.compute((rows * opw) as u64, || {
-                for r in 0..rows {
-                    s.row_mut(r)[olo..ohi].copy_from_slice(s_panel.row(r));
-                }
-            });
-            ctx.allreduce_sum(s.data_mut(), &row_group);
-            bufs.put_dense(s_panel);
-
-            // Weight gradient from per-panel blocks: this rank fills
-            // rows [ilo, ihi) of Y; the all-reduce over all p sums the
-            // pr distinct grid-row contributions per panel and the c
-            // identical layer copies.
-            let h_prev = &hs[l];
-            let mut y = match cfg.gcn.arch {
-                ArchKind::Gcn => {
-                    let hp = ctx.compute((rows * ipw) as u64, || {
-                        slice_panel(h_prev, ilo, ihi, &mut bufs)
-                    });
-                    let mut yp = bufs.take_dense(ipw, d_out);
-                    ctx.compute((2 * rows * ipw * d_out) as u64, || {
-                        hp.transpose_matmul_into(&s, &mut yp)
-                    });
-                    let mut y = bufs.take_dense(d, d_out);
-                    y.data_mut()[ilo * d_out..ihi * d_out].copy_from_slice(yp.data());
-                    bufs.put_dense(hp);
-                    bufs.put_dense(yp);
-                    y
-                }
-                ArchKind::Sage => {
-                    let ah = &ahs[l];
-                    let g_ref = &g;
-                    let hp = ctx.compute((rows * ipw) as u64, || {
-                        slice_panel(h_prev, ilo, ihi, &mut bufs)
-                    });
-                    let mut top = bufs.take_dense(ipw, d_out);
-                    let mut bottom = bufs.take_dense(ipw, d_out);
-                    ctx.compute((4 * rows * ipw * d_out) as u64, || {
-                        hp.transpose_matmul_into(g_ref, &mut top);
-                        ah.transpose_matmul_into(g_ref, &mut bottom);
-                    });
-                    let mut y = bufs.take_dense(2 * d, d_out);
-                    y.data_mut()[ilo * d_out..ihi * d_out].copy_from_slice(top.data());
-                    y.data_mut()[(d + ilo) * d_out..(d + ihi) * d_out]
-                        .copy_from_slice(bottom.data());
-                    bufs.put_dense(hp);
-                    bufs.put_dense(top);
-                    bufs.put_dense(bottom);
-                    y
-                }
-            };
-            ctx.allreduce_sum(y.data_mut(), &all_group);
-            // Only the layer replicas are duplicates; the grid-row
-            // contributions are distinct panel blocks.
-            y.scale(1.0 / cl as f64);
-            grads.push(y); // reverse layer order; fixed up below
-            if l > 0 {
-                // Full-width local propagation, identical to the 1D
-                // data flow (s and z_prev are full-width and replicated).
-                let w = &weights.mats[l];
-                let prev_z = &zs[l - 1];
-                let mut gg = bufs.take_dense(rows, d);
-                let mut tmp = bufs.take_dense(rows, d);
-                match cfg.gcn.arch {
-                    ArchKind::Gcn => {
-                        ctx.compute((2 * rows * d_out * d + 2 * rows * d) as u64, || {
-                            s.matmul_transpose_into(w, &mut gg);
-                            prev_z.relu_prime_into(&mut tmp);
-                            gg.hadamard_assign(&tmp);
-                        })
-                    }
-                    ArchKind::Sage => {
-                        let g_ref = &g;
-                        ctx.compute((4 * rows * d_out * d + 3 * rows * d) as u64, || {
-                            g_ref.matmul_transpose_into(&w.row_slice(0, d), &mut gg);
-                            s.matmul_transpose_into(&w.row_slice(d, 2 * d), &mut tmp);
-                            gg.add_assign(&tmp);
-                            prev_z.relu_prime_into(&mut tmp);
-                            gg.hadamard_assign(&tmp);
-                        })
-                    }
-                }
-                bufs.put_dense(tmp);
-                bufs.put_dense(std::mem::replace(&mut g, gg));
-            }
-            bufs.put_dense(s);
-        }
-        grads.reverse();
-        optimizer.step(&mut weights, &grads);
-        ctx.span_end();
-
-        // ---- retire epoch temporaries ----
-        bufs.put_dense(g);
-        for d in hs.drain(..).chain(zs.drain(..)).chain(ahs.drain(..)) {
-            bufs.put_dense(d);
-        }
-        for d in grads.drain(..) {
-            bufs.put_dense(d);
-        }
-
-        // ---- checkpoint ----
-        let every = cfg.robust.checkpoint_every;
-        if ctx.rank() == 0 && every > 0 && (epoch + 1) % every == 0 {
-            store.save(Checkpoint {
-                next_epoch: epoch + 1,
-                weights: weights.clone(),
-                optimizer: optimizer.clone(),
-                records: records.clone(),
-            });
-        }
-        ctx.span_end(); // epoch
-    }
-    (records, weights)
-}
-
-/// One rank's training program under degraded-mode failover (1.5D
-/// only). Epochs run as *attempts*: the full forward/loss/backward is
-/// computed through the final gradient all-reduce, then the attempt is
-/// committed at a death-aware barrier. Only a committed attempt mutates
-/// state (optimizer step, record append, checkpoint), so an attempt
-/// aborted by a mid-epoch death — every survivor unwinds with
-/// [`EpochAbortPanic`] — is side-effect free and simply re-runs with
-/// the dead rank's duties reassigned via [`FailoverView`]. Degraded
-/// collectives fold in fault-free slot order from replicated data, so
-/// committed epochs are bit-identical to a fault-free run.
-fn run_rank_failover(
-    ctx: &mut RankCtx,
-    ds: &Dataset,
-    cfg: &DistConfig,
-    plan: &Plan15d,
-    aware: bool,
-    store: &dyn CheckpointBackend,
-) -> (Vec<EpochRecord>, Weights) {
-    let c_rep = cfg.algo.replication() as f64;
-    let rp = &plan.ranks[ctx.rank()];
-    let (lo, hi) = (rp.row_lo, rp.row_hi);
-    let rows = hi - lo;
-    let h0 = ds.features.row_slice(lo, hi);
-    let labels = &ds.labels[lo..hi];
-    let mask = &ds.train_mask[lo..hi];
-
-    let (start_epoch, mut weights, mut optimizer, mut records) = match store.restore() {
-        Some(ck) => (ck.next_epoch, ck.weights, ck.optimizer, ck.records),
-        None => (
-            0,
-            Weights::init(&cfg.gcn),
-            Optimizer::from_config(&cfg.gcn),
-            Vec::with_capacity(cfg.epochs),
-        ),
-    };
-    let l_total = cfg.gcn.layers();
-    let dims = &cfg.gcn.dims;
-    let mut bufs = EpochBuffers::new();
-
-    let mut epoch = start_epoch;
     while epoch < cfg.epochs {
         ctx.set_epoch(epoch);
         let attempt = catch_unwind(AssertUnwindSafe(|| {
-            // Role assignment from the *sealed* death set — identical
-            // on every rank of this generation without communication.
-            let view = FailoverView::compute(ctx, plan);
-            let degraded = view.is_degraded();
+            let degraded = plan.degraded_view(ctx);
+            let degraded = degraded.as_ref();
+            let spmm = |ctx: &mut RankCtx, h: &Dense, bufs: &mut EpochBuffers| {
+                plan.spmm(ctx, h, pipe.as_ref(), degraded, bufs)
+            };
+            // Whole-world all-reduce of row-replicated values.
+            let allreduce_all = |ctx: &mut RankCtx, buf: &mut [f64]| match degraded {
+                Some(view) => failover_allreduce_replicated(ctx, view, buf),
+                None => ctx.allreduce_sum(buf, &all_group),
+            };
             ctx.span_begin(SpanKind::Epoch, Phase::Other);
 
             // ---- forward ----
             ctx.span_begin(SpanKind::Forward, Phase::Other);
-            let mut hs: Vec<Dense> = Vec::with_capacity(l_total + 1);
-            let mut zs: Vec<Dense> = Vec::with_capacity(l_total);
-            let mut ahs: Vec<Dense> = Vec::with_capacity(l_total);
             let mut h0_epoch = bufs.take_dense(rows, dims[0]);
             h0_epoch.data_mut().copy_from_slice(h0.data());
             hs.push(h0_epoch);
             for l in 0..l_total {
-                let ah = if degraded {
-                    spmm_15d_failover_buf(ctx, plan, &view, &hs[l], aware, &mut bufs)
-                } else {
-                    spmm_15d_buf(ctx, plan, &hs[l], aware, &mut bufs)
-                };
-                let w = &weights.mats[l];
                 let (d, d_out) = (dims[l], dims[l + 1]);
+                let (ilo, ihi) = panel_cols(panel, d);
+                let ipw = ihi - ilo;
+                let h_panel = panel.map(|_| {
+                    ctx.compute((rows * ipw) as u64, || {
+                        slice_panel(&hs[l], ilo, ihi, &mut bufs)
+                    })
+                });
+                let h_in = h_panel.as_ref().unwrap_or(&hs[l]);
+                let ah = spmm(ctx, h_in, &mut bufs);
+                // The panel's rows of W; without a panel, all of W.
+                let w = &weights.mats[l];
                 let mut z = bufs.take_dense(rows, d_out);
-                match cfg.gcn.arch {
-                    ArchKind::Gcn => {
-                        ctx.compute((2 * rows * d * d_out) as u64, || ah.matmul_into(w, &mut z))
-                    }
+                match arch {
+                    ArchKind::Gcn => ctx.compute((2 * rows * ipw * d_out) as u64, || {
+                        if ipw == d {
+                            ah.matmul_into(w, &mut z)
+                        } else {
+                            ah.matmul_into(&w.row_slice(ilo, ihi), &mut z)
+                        }
+                    }),
                     ArchKind::Sage => {
-                        let h_prev = &hs[l];
                         let mut tmp = bufs.take_dense(rows, d_out);
-                        ctx.compute((4 * rows * d * d_out + rows * d_out) as u64, || {
-                            h_prev.matmul_into(&w.row_slice(0, d), &mut z);
-                            ah.matmul_into(&w.row_slice(d, 2 * d), &mut tmp);
+                        ctx.compute((4 * rows * ipw * d_out + rows * d_out) as u64, || {
+                            h_in.matmul_into(&w.row_slice(ilo, ihi), &mut z);
+                            ah.matmul_into(&w.row_slice(d + ilo, d + ihi), &mut tmp);
                             z.add_assign(&tmp);
                         });
                         bufs.put_dense(tmp);
                     }
                 }
+                if let Some(pn) = panel {
+                    // Sum the panels' partial products: full-width Z.
+                    ctx.allreduce_sum(z.data_mut(), &pn.row_group);
+                }
                 let mut h = bufs.take_dense(rows, d_out);
                 if l + 1 == l_total {
                     h.data_mut().copy_from_slice(z.data());
                 } else {
-                    ctx.compute((rows * dims[l + 1]) as u64, || z.relu_into(&mut h));
+                    ctx.compute((rows * d_out) as u64, || z.relu_into(&mut h));
+                }
+                if let Some(hp) = h_panel {
+                    bufs.put_dense(hp);
                 }
                 zs.push(z);
                 hs.push(h);
@@ -1070,16 +703,9 @@ fn run_rank_failover(
             ctx.span_begin(SpanKind::Loss, Phase::Other);
             let logits = &hs[l_total];
             let (loss_sum, count, grad_sum) = softmax_cross_entropy_sums(logits, labels, mask);
-            let correct = {
-                let acc = crate::model::accuracy(logits, labels, mask);
-                acc * count as f64
-            };
+            let correct = crate::model::accuracy(logits, labels, mask) * count as f64;
             let mut reduce = [loss_sum, count as f64, correct];
-            if degraded {
-                failover_allreduce_replicated(ctx, &view, &mut reduce);
-            } else {
-                ctx.allreduce_sum(&mut reduce, &(0..ctx.p()).collect::<Vec<_>>());
-            }
+            allreduce_all(ctx, &mut reduce);
             let [g_loss, g_count, g_correct] = reduce;
             let record = EpochRecord {
                 loss: g_loss / g_count.max(1.0),
@@ -1093,58 +719,93 @@ fn run_rank_failover(
 
             // ---- backward ----
             ctx.span_begin(SpanKind::Backward, Phase::Other);
-            let denom = (g_count / c_rep).max(1.0);
+            // True (unreplicated) masked count normalizes the gradient.
+            let denom = (g_count / plan.row_copies() as f64).max(1.0);
             let mut g = grad_sum;
             g.scale(1.0 / denom);
-            let mut grads: Vec<Dense> = Vec::with_capacity(l_total);
 
             for l in (0..l_total).rev() {
-                let s = if degraded {
-                    spmm_15d_failover_buf(ctx, plan, &view, &g, aware, &mut bufs)
-                } else {
-                    spmm_15d_buf(ctx, plan, &g, aware, &mut bufs)
-                };
-                let h_prev = &hs[l];
                 let (d, d_out) = (dims[l], dims[l + 1]);
-                let mut y = match cfg.gcn.arch {
-                    ArchKind::Gcn => {
-                        let mut y = bufs.take_dense(d, d_out);
-                        ctx.compute((2 * rows * d * d_out) as u64, || {
-                            h_prev.transpose_matmul_into(&s, &mut y)
+                let (ilo, ihi) = panel_cols(panel, d);
+                let ipw = ihi - ilo;
+                let s = match panel {
+                    None => spmm(ctx, &g, &mut bufs),
+                    Some(pn) => {
+                        // SpMM of the own gradient panel, then sum the
+                        // disjoint panels over the grid row: full-width
+                        // AᵀG.
+                        let (olo, ohi) = panel_cols(panel, d_out);
+                        let opw = ohi - olo;
+                        let g_panel = ctx
+                            .compute((rows * opw) as u64, || slice_panel(&g, olo, ohi, &mut bufs));
+                        let s_panel = spmm(ctx, &g_panel, &mut bufs);
+                        bufs.put_dense(g_panel);
+                        let mut s = bufs.take_dense(rows, d_out);
+                        ctx.compute((rows * opw) as u64, || {
+                            for r in 0..rows {
+                                s.row_mut(r)[olo..ohi].copy_from_slice(s_panel.row(r));
+                            }
                         });
+                        ctx.allreduce_sum(s.data_mut(), &pn.row_group);
+                        bufs.put_dense(s_panel);
+                        s
+                    }
+                };
+
+                // Weight gradient: this rank fills its panel's rows of
+                // Y (all of them without a panel).
+                let h_prev = &hs[l];
+                let hp = panel.map(|_| {
+                    ctx.compute((rows * ipw) as u64, || {
+                        slice_panel(h_prev, ilo, ihi, &mut bufs)
+                    })
+                });
+                let h_in = hp.as_ref().unwrap_or(h_prev);
+                let mut y = match arch {
+                    ArchKind::Gcn => {
+                        let mut yp = bufs.take_dense(ipw, d_out);
+                        ctx.compute((2 * rows * ipw * d_out) as u64, || {
+                            h_in.transpose_matmul_into(&s, &mut yp)
+                        });
+                        let mut y = bufs.take_dense(d, d_out);
+                        y.data_mut()[ilo * d_out..ihi * d_out].copy_from_slice(yp.data());
+                        bufs.put_dense(yp);
                         y
                     }
                     ArchKind::Sage => {
                         let ah = &ahs[l];
                         let g_ref = &g;
-                        let mut top = bufs.take_dense(d, d_out);
-                        let mut bottom = bufs.take_dense(d, d_out);
-                        ctx.compute((4 * rows * d * d_out) as u64, || {
-                            h_prev.transpose_matmul_into(g_ref, &mut top);
+                        let mut top = bufs.take_dense(ipw, d_out);
+                        let mut bottom = bufs.take_dense(ipw, d_out);
+                        ctx.compute((4 * rows * ipw * d_out) as u64, || {
+                            h_in.transpose_matmul_into(g_ref, &mut top);
                             ah.transpose_matmul_into(g_ref, &mut bottom);
                         });
                         let mut y = bufs.take_dense(2 * d, d_out);
-                        y.data_mut()[..d * d_out].copy_from_slice(top.data());
-                        y.data_mut()[d * d_out..].copy_from_slice(bottom.data());
+                        y.data_mut()[ilo * d_out..ihi * d_out].copy_from_slice(top.data());
+                        y.data_mut()[(d + ilo) * d_out..(d + ihi) * d_out]
+                            .copy_from_slice(bottom.data());
                         bufs.put_dense(top);
                         bufs.put_dense(bottom);
                         y
                     }
                 };
-                if degraded {
-                    failover_allreduce_replicated(ctx, &view, y.data_mut());
-                } else {
-                    ctx.allreduce_sum(y.data_mut(), &(0..ctx.p()).collect::<Vec<_>>());
+                if let Some(hp) = hp {
+                    bufs.put_dense(hp);
                 }
-                // Replicated rows contributed c times each.
-                y.scale(1.0 / c_rep);
+                // Sums the distinct panel blocks and row blocks, plus
+                // `c` identical layer copies, which are divided out.
+                allreduce_all(ctx, y.data_mut());
+                y.scale(1.0 / plan.layers() as f64);
                 grads.push(y); // reverse layer order; fixed up below
                 if l > 0 {
+                    // Full-width local propagation (s and z_prev are
+                    // full-width on every rank).
                     let w = &weights.mats[l];
                     let prev_z = &zs[l - 1];
                     let mut gg = bufs.take_dense(rows, d);
                     let mut tmp = bufs.take_dense(rows, d);
-                    match cfg.gcn.arch {
+                    match arch {
                         ArchKind::Gcn => {
                             ctx.compute((2 * rows * d_out * d + 2 * rows * d) as u64, || {
                                 s.matmul_transpose_into(w, &mut gg);
@@ -1169,45 +830,27 @@ fn run_rank_failover(
                 bufs.put_dense(s);
             }
             grads.reverse();
-            ctx.span_end();
-
-            // ---- retire attempt temporaries ----
             bufs.put_dense(g);
-            for d in hs.drain(..).chain(zs.drain(..)).chain(ahs.drain(..)) {
-                bufs.put_dense(d);
-            }
+            ctx.span_end();
             ctx.span_end(); // epoch
-            (grads, record)
+            record
         }));
 
         match attempt {
-            Ok((grads, record)) => {
-                // Commit gate: true only if nobody died this attempt.
-                let committed = ctx.commit_epoch();
-                if committed {
+            // Commit gate: true unless a rank died during the attempt
+            // (always true outside failover mode).
+            Ok(record) => {
+                if ctx.commit_epoch() {
                     optimizer.step(&mut weights, &grads);
                     records.push(record);
-                }
-                for d in grads {
-                    bufs.put_dense(d);
-                }
-                if committed {
                     let every = cfg.robust.checkpoint_every;
-                    if every > 0 && (epoch + 1) % every == 0 {
-                        // The lowest survivor writes; the sealed view
-                        // makes that choice identical on every rank.
-                        let dead = ctx.sealed_dead_ranks();
-                        let writer = (0..ctx.p())
-                            .find(|r| !dead.contains(r))
-                            .expect("at least one survivor");
-                        if ctx.rank() == writer {
-                            store.save(Checkpoint {
-                                next_epoch: epoch + 1,
-                                weights: weights.clone(),
-                                optimizer: optimizer.clone(),
-                                records: records.clone(),
-                            });
-                        }
+                    if every > 0 && (epoch + 1) % every == 0 && me == checkpoint_writer(ctx) {
+                        store.save(Checkpoint {
+                            next_epoch: epoch + 1,
+                            weights: weights.clone(),
+                            optimizer: optimizer.clone(),
+                            records: records.clone(),
+                        });
                     }
                     epoch += 1;
                 }
@@ -1216,7 +859,7 @@ fn run_rank_failover(
             }
             Err(payload) => {
                 // Only the failover abort is survivable here; injected
-                // crashes, replica-column loss and genuine bugs keep
+                // crashes, replica-group loss and genuine bugs keep
                 // unwinding to the world boundary.
                 if !payload.is::<EpochAbortPanic>() {
                     resume_unwind(payload);
@@ -1225,8 +868,41 @@ fn run_rank_failover(
                 debug_assert!(!committed, "an aborted attempt cannot commit");
             }
         }
+        // ---- retire attempt temporaries ----
+        for d in hs
+            .drain(..)
+            .chain(zs.drain(..))
+            .chain(ahs.drain(..))
+            .chain(grads.drain(..))
+        {
+            bufs.put_dense(d);
+        }
     }
     (records, weights)
+}
+
+/// The rank that snapshots a committed epoch: rank 0, or the lowest
+/// survivor once failover has sealed a death. The state is replicated
+/// and every rank reached the commit by completing every collective of
+/// the epoch, so any survivor's copy is the consistent one; the sealed
+/// set makes the choice identical on every rank.
+fn checkpoint_writer(ctx: &RankCtx) -> usize {
+    if !ctx.failover_enabled() {
+        return 0;
+    }
+    let dead = ctx.sealed_dead_ranks();
+    (0..ctx.p())
+        .find(|r| !dead.contains(r))
+        .expect("at least one survivor")
+}
+
+/// Copies the column panel `[lo, hi)` of `src` into a pooled matrix.
+fn slice_panel(src: &Dense, lo: usize, hi: usize, bufs: &mut EpochBuffers) -> Dense {
+    let mut out = bufs.take_dense(src.rows(), hi - lo);
+    for r in 0..src.rows() {
+        out.row_mut(r).copy_from_slice(&src.row(r)[lo..hi]);
+    }
+    out
 }
 
 #[cfg(test)]
@@ -1603,6 +1279,65 @@ mod tests {
             assert_eq!(a.loss.to_bits(), b.loss.to_bits());
         }
         assert_eq!(faulty.weights.max_abs_diff(&clean.weights), 0.0);
+    }
+
+    #[test]
+    fn failover_run_matches_plain_run_with_and_without_overlap() {
+        let ds = reddit_scaled(7, 11);
+        let cfg = GcnConfig::paper_default(ds.f(), ds.num_classes);
+        let bounds = even_bounds(ds.n(), 2); // pr = 2, c = 2 → p = 4
+        for overlap in [OverlapConfig::off(), OverlapConfig::on(3)] {
+            let mut plain_cfg = DistConfig::new(
+                Algo::OneFiveD { aware: true, c: 2 },
+                cfg.clone(),
+                3,
+                CostModel::perlmutter_like(),
+            );
+            plain_cfg.overlap = overlap;
+            let plain = train_distributed(&ds, &bounds, &plain_cfg);
+            let mut fo_cfg = plain_cfg.clone();
+            fo_cfg.robust.failover = true;
+            let fo = train_distributed(&ds, &bounds, &fo_cfg);
+
+            assert_eq!(fo.failovers, 0);
+            assert_eq!(fo.weights.max_abs_diff(&plain.weights), 0.0, "{overlap:?}");
+            assert_eq!(fo.stats.p(), plain.stats.p());
+            for (rank, (a, b)) in fo
+                .stats
+                .per_rank
+                .iter()
+                .zip(&plain.stats.per_rank)
+                .enumerate()
+            {
+                for ph in gnn_comm::stats::PHASES {
+                    let (a, b) = (a.phase(ph), b.phase(ph));
+                    let what = format!("{overlap:?}: rank {rank} {ph:?}");
+                    assert_eq!(a.ops, b.ops, "{what} ops");
+                    assert_eq!(a.bytes_sent, b.bytes_sent, "{what} bytes_sent");
+                    assert_eq!(a.bytes_recv, b.bytes_recv, "{what} bytes_recv");
+                    assert_eq!(a.flops, b.flops, "{what} flops");
+                    assert_eq!(
+                        a.modeled_seconds.to_bits(),
+                        b.modeled_seconds.to_bits(),
+                        "{what} modeled_seconds"
+                    );
+                }
+            }
+
+            // A mid-epoch crash on a pipelined epoch is absorbed in
+            // place and still reproduces the plain run's weights.
+            let mut crash_cfg = fo_cfg.clone();
+            crash_cfg.robust.faults = Some(FaultPlan::new(3).crash_at(1, 1, 7));
+            crash_cfg.robust.timeout = Duration::from_secs(10);
+            let crashed = try_train_distributed(&ds, &bounds, &crash_cfg)
+                .expect("failover should absorb the crash in place");
+            assert_eq!((crashed.failovers, crashed.restarts), (1, 0), "{overlap:?}");
+            assert_eq!(
+                crashed.weights.max_abs_diff(&plain.weights),
+                0.0,
+                "{overlap:?}"
+            );
+        }
     }
 
     #[test]

@@ -20,6 +20,7 @@ fn assert_stats_equal(
         for phase in PHASES {
             let pe = e.phase(phase);
             let pa = a.phase(phase);
+            assert_eq!(pe.ops, pa.ops, "{label}: rank {rank} {phase:?} ops");
             assert_eq!(
                 pe.bytes_sent, pa.bytes_sent,
                 "{label}: rank {rank} {phase:?} bytes_sent"
