@@ -1021,6 +1021,13 @@ fn main() -> ExitCode {
         println!("failovers:         {}", out.failovers);
         println!("injected faults:   {}", st.total_injected_faults());
         println!("retries:           {}", st.total_retries());
+        let injected: u64 = st.per_rank.iter().map(|r| r.faults.corruptions).sum();
+        let detected: u64 = st
+            .per_rank
+            .iter()
+            .map(|r| r.faults.corruptions_detected)
+            .sum();
+        println!("corruptions:       {injected} injected, {detected} detected");
         if transport_faults > 0 {
             println!(
                 "transport:         {} reconnects, {} replayed frames, \
@@ -1036,11 +1043,16 @@ fn main() -> ExitCode {
         }
         for (rank, r) in st.per_rank.iter().enumerate() {
             let f = &r.faults;
-            if f.injected_total() > 0 || f.retries > 0 {
+            if f.injected_total() > 0 || f.retries > 0 || f.corruptions_detected > 0 {
                 println!(
                     "  rank {rank}: {} delays, {} drops, {} corruptions, \
-                     {} retries, {} slowed ops",
-                    f.delays, f.drops, f.corruptions, f.retries, f.slowed_ops
+                     {} retries, {} slowed ops, {} corruptions detected",
+                    f.delays,
+                    f.drops,
+                    f.corruptions,
+                    f.retries,
+                    f.slowed_ops,
+                    f.corruptions_detected
                 );
             }
         }

@@ -30,8 +30,11 @@
 //! [`crate::WorldError::Deadlock`].
 //!
 //! Every frame carries a reliable-transport header: a per-channel
-//! sequence number, the failover generation, and an FNV checksum over
-//! the payload computed at send time. The receiver verifies the checksum
+//! sequence number, the failover generation, and a word-wise checksum
+//! over the payload's element values ([`Payload::checksum`]: any
+//! single-bit flip changes it), computed once per payload at send time
+//! — a fan-out to g−1 peers hashes its buffer once. The receiver
+//! re-hashes every frame and verifies the checksum
 //! (discarding damaged frames and waiting for the retransmission),
 //! discards duplicates by sequence number, and treats an out-of-order
 //! future frame as a transport violation. The sender retries failed
@@ -343,12 +346,12 @@ impl RankCtx {
     /// (drop/corrupt re-rolled each attempt, capped exponential backoff on
     /// the modeled clock) until a clean frame is queued. All retry
     /// overhead is charged to [`Phase::Retransmit`]; injected link delay
-    /// stays on the op's own `phase`.
-    fn raw_send(&mut self, dst: usize, tag: u8, payload: Payload, phase: Phase) {
+    /// stays on the op's own `phase`. `checksum` is `payload.checksum()`,
+    /// taken by the caller so a fan-out hashes its buffer once.
+    fn raw_send(&mut self, dst: usize, tag: u8, checksum: u64, payload: Payload, phase: Phase) {
         let seq = self.next_seq[dst];
         self.next_seq[dst] += 1;
         let bytes = payload.bytes();
-        let checksum = payload.checksum();
         let mut duplicate = false;
         if let Some(inj) = self.injector.clone() {
             let mut extra = 0.0;
@@ -751,7 +754,7 @@ impl RankCtx {
         c.bytes_sent += bytes;
         c.modeled_seconds += dur;
         self.trace_op(EventKind::Send, Phase::P2p, Some(dst), bytes, 0, 0, dur);
-        self.raw_send(dst, tag::P2P, payload, Phase::P2p);
+        self.raw_send(dst, tag::P2P, payload.checksum(), payload, Phase::P2p);
     }
 
     /// Blocking point-to-point receive (phase `P2p`). Pays
@@ -808,7 +811,7 @@ impl RankCtx {
         c.bytes_sent += bytes;
         c.modeled_seconds += dur;
         self.trace_op(EventKind::Send, phase, Some(dst), bytes, 0, 0, dur);
-        self.raw_send(dst, tag::P2P, payload, phase);
+        self.raw_send(dst, tag::P2P, payload.checksum(), payload, phase);
         self.pending.push(PendingSlot::Send);
         PendingOp(self.pending.len() - 1)
     }
@@ -1070,9 +1073,10 @@ impl RankCtx {
         self.op_tick();
         let out = if self.rank == root {
             let payload = payload.expect("root must supply the broadcast payload");
+            let sum = payload.checksum();
             for dst in 0..self.p {
                 if dst != root {
-                    self.raw_send(dst, tag::BCAST, payload.clone(), Phase::Bcast);
+                    self.raw_send(dst, tag::BCAST, sum, payload.clone(), Phase::Bcast);
                 }
             }
             payload
@@ -1113,9 +1117,10 @@ impl RankCtx {
         self.op_tick();
         let out = if self.rank == root {
             let payload = payload.expect("root must supply the broadcast payload");
+            let sum = payload.checksum();
             for dst in 0..self.p {
                 if dst != root {
-                    self.raw_send(dst, tag::BCAST, payload.clone(), Phase::Bcast);
+                    self.raw_send(dst, tag::BCAST, sum, payload.clone(), Phase::Bcast);
                 }
             }
             payload
@@ -1166,7 +1171,13 @@ impl RankCtx {
             let dst = (me + off) % self.p;
             let payload = std::mem::replace(&mut sends[dst], Payload::Empty);
             sent_bytes += payload.bytes();
-            self.raw_send(dst, tag::ALLTOALLV, payload, Phase::AllToAll);
+            self.raw_send(
+                dst,
+                tag::ALLTOALLV,
+                payload.checksum(),
+                payload,
+                Phase::AllToAll,
+            );
         }
         let mut out: Vec<Payload> = (0..self.p).map(|_| Payload::Empty).collect();
         out[me] = std::mem::replace(&mut sends[me], Payload::Empty);
@@ -1216,19 +1227,21 @@ impl RankCtx {
                         *a += b;
                     }
                 }
-                for &dst in &group[1..] {
-                    self.raw_send(
-                        dst,
-                        tag::REDUCE_DOWN,
-                        Payload::F64(buf.to_vec()),
-                        Phase::AllReduce,
-                    );
+                // Hashed once; one copy per member, the last one moved.
+                let summed = Payload::F64(buf.to_vec());
+                let sum = summed.checksum();
+                let (last, rest) = group[1..].split_last().expect("g > 1");
+                for &dst in rest {
+                    self.raw_send(dst, tag::REDUCE_DOWN, sum, summed.clone(), Phase::AllReduce);
                 }
+                self.raw_send(*last, tag::REDUCE_DOWN, sum, summed, Phase::AllReduce);
             } else {
+                let part = Payload::F64(buf.to_vec());
                 self.raw_send(
                     root,
                     tag::REDUCE_UP,
-                    Payload::F64(buf.to_vec()),
+                    part.checksum(),
+                    part,
                     Phase::AllReduce,
                 );
                 let summed = self.raw_recv(root, tag::REDUCE_DOWN).into_f64();
@@ -1270,7 +1283,7 @@ impl RankCtx {
                 .collect();
             Some(out)
         } else {
-            self.raw_send(root, tag::GATHER, payload, Phase::Other);
+            self.raw_send(root, tag::GATHER, payload.checksum(), payload, Phase::Other);
             None
         }
     }

@@ -20,7 +20,7 @@
 //!   so a reconnect retransmits exactly the unacknowledged suffix and
 //!   the receiver's [`DedupWatermark`] filters the duplicates. The
 //!   upper layer ([`crate::RankCtx`]) never observes a socket bounce:
-//!   its own seq/FNV state machine sees the same frame stream either
+//!   its own seq/checksum state machine sees the same frame stream either
 //!   way.
 //! * **Liveness** — a heartbeat thread beacons every peer and marks a
 //!   peer dead after a miss threshold; death drops the peer's delivery
@@ -1827,13 +1827,14 @@ impl ProcWorld {
         let tracer = self
             .tracing
             .then(|| Box::new(RankTracer::with_wall_anchor(rank, shared.start)));
-        if let Some(interval) = self.metrics_interval {
+        let snapshotter = self.metrics_interval.and_then(|interval| {
             let shared = shared.clone();
             let path = self.dir.join(format!("metrics-rank{rank}.jsonl"));
-            let _ = std::thread::Builder::new()
+            std::thread::Builder::new()
                 .name(format!("proc-metrics-{rank}"))
-                .spawn(move || metrics_snapshot_loop(shared, path, interval));
-        }
+                .spawn(move || metrics_snapshot_loop(shared, path, interval))
+                .ok()
+        });
         let mut ctx = RankCtx::new(
             rank,
             self.p,
@@ -1848,7 +1849,7 @@ impl ProcWorld {
             let (stats, tracer) = ctx.into_parts();
             (out, stats, tracer)
         }));
-        match result {
+        let outcome = match result {
             Ok((out, mut stats, mut tracer)) => {
                 let m = &shared.metrics;
                 stats.proc.reconnects = m.reconnects.load(Ordering::Relaxed);
@@ -1883,7 +1884,16 @@ impl ProcWorld {
                 shared.abort_shutdown();
                 Err(ProcError::RankPanicked { rank, message })
             }
+        };
+        // Shutdown has begun, so the snapshotter is writing its final
+        // line; wait for it, or a run shorter than one interval exits
+        // with an empty metrics stream.
+        if let Some(handle) = snapshotter {
+            if handle.join().is_err() {
+                shared.log(&format!("rank {rank}: metrics snapshotter panicked"));
+            }
         }
+        outcome
     }
 }
 

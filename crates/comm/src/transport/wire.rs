@@ -5,7 +5,7 @@
 //! the length field itself. `link_seq` numbers DATA frames per
 //! connection direction (the replay/ack watermark unit); it is zero for
 //! control frames. The DATA body is the byte serialization of
-//! [`Msg`] — tag, transport seq, generation, FNV checksum, payload —
+//! [`Msg`] — tag, transport seq, generation, payload checksum, payload —
 //! exactly the header the thread backend passes by value, so the
 //! receive state machine in [`crate::RankCtx`] is backend-agnostic.
 //! The full grammar is documented in DESIGN.md §8.
@@ -119,8 +119,16 @@ pub(crate) fn encode_frame(frame: &Frame) -> Vec<u8> {
     buf
 }
 
+/// Largest body buffer [`read_frame`] reserves before any of the body
+/// has arrived; a longer body grows the buffer as its bytes land, so a
+/// lying length prefix costs at most this much memory.
+const BODY_PREALLOC: usize = 1 << 20;
+
 /// Reads one frame off `r`. `Ok(None)` is a clean EOF at a frame
-/// boundary; errors inside a frame are real I/O failures.
+/// boundary; errors inside a frame are real I/O failures. The header is
+/// read into a fixed array and the body straight into the returned
+/// buffer: no allocation beyond [`BODY_PREALLOC`] until bytes back it,
+/// and no second copy of the body.
 pub(crate) fn read_frame(r: &mut impl Read) -> io::Result<Option<Frame>> {
     let mut len_bytes = [0u8; 4];
     match r.read_exact(&mut len_bytes) {
@@ -132,22 +140,28 @@ pub(crate) fn read_frame(r: &mut impl Read) -> io::Result<Option<Frame>> {
     if !(13..=MAX_FRAME).contains(&len) {
         return Err(bad_data("frame length out of range"));
     }
-    let mut rest = vec![0u8; len as usize];
-    r.read_exact(&mut rest)?;
-    let kind = rest[0];
-    let src = u32::from_le_bytes(rest[1..5].try_into().unwrap());
-    let link_seq = u64::from_le_bytes(rest[5..13].try_into().unwrap());
+    let mut head = [0u8; 13];
+    r.read_exact(&mut head)?;
+    let body_len = len as usize - head.len();
+    let mut body = Vec::with_capacity(body_len.min(BODY_PREALLOC));
+    r.take(body_len as u64).read_to_end(&mut body)?;
+    if body.len() != body_len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "frame body truncated",
+        ));
+    }
     Ok(Some(Frame {
-        kind,
-        src,
-        link_seq,
-        body: rest.split_off(13),
+        kind: head[0],
+        src: u32::from_le_bytes(head[1..5].try_into().unwrap()),
+        link_seq: u64::from_le_bytes(head[5..13].try_into().unwrap()),
+        body,
     }))
 }
 
 // ---- Msg body codec -----------------------------------------------------
 
-/// Payload variant bytes (match [`Payload::checksum`]'s tag bytes).
+/// Payload variant bytes (the tags [`Payload::checksum`] folds in).
 const PV_EMPTY: u8 = 0;
 const PV_F64: u8 = 1;
 const PV_U32: u8 = 2;
@@ -407,6 +421,15 @@ mod tests {
         assert_eq!(book, paths);
         let reg = decode_register(&encode_path("/tmp/x/rank7.sock")).unwrap();
         assert_eq!(reg, "/tmp/x/rank7.sock");
+    }
+
+    #[test]
+    fn lying_max_length_prefix_is_an_error_not_a_panic() {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&MAX_FRAME.to_le_bytes());
+        buf.extend_from_slice(&[0u8; 16]);
+        let err = read_frame(&mut buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! can resume instead of recomputing from scratch. A snapshot that was
 //! silently corrupted between write and restore would poison the resumed
 //! run while *looking* healthy — so every [`Checkpoint`] is stamped with
-//! an FNV-1a checksum over all of its bits at save time, and
-//! [`CheckpointStore::restore`] re-verifies before handing it out. The
-//! store keeps the last **two** snapshots: if the newest fails
+//! a word-wise checksum ([`WordHasher`]) over all of its bits at save
+//! time, and [`CheckpointStore::restore`] re-verifies before handing it
+//! out. The store keeps the last **two** snapshots: if the newest fails
 //! verification, restore falls back to the previous one, and only when
 //! both are bad (or none exist) does training restart from scratch.
 
@@ -15,6 +15,7 @@ use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
+use gnn_comm::msg::WordHasher;
 use spmat::Dense;
 
 use crate::model::Weights;
@@ -80,45 +81,26 @@ pub struct CheckpointStore {
     newest: usize,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= u64::from(b);
-        *hash = hash.wrapping_mul(FNV_PRIME);
-    }
+fn hash_dense(h: &mut WordHasher, d: &Dense) {
+    h.write_u64(d.rows() as u64);
+    h.write_u64(d.cols() as u64);
+    h.write_f64s(d.data());
 }
 
-fn fnv_u64(hash: &mut u64, v: u64) {
-    fnv(hash, &v.to_le_bytes());
-}
-
-fn fnv_f64(hash: &mut u64, v: f64) {
-    fnv_u64(hash, v.to_bits());
-}
-
-fn fnv_dense(hash: &mut u64, d: &Dense) {
-    fnv_u64(hash, d.rows() as u64);
-    fnv_u64(hash, d.cols() as u64);
-    for &x in d.data() {
-        fnv_f64(hash, x);
-    }
-}
-
-/// FNV-1a over every bit of the snapshot: epoch cursor, weight
-/// matrices, full optimizer state, and the epoch records.
+/// [`WordHasher`] (the payload checksum's word hash) over every bit of
+/// the snapshot: epoch cursor, weight matrices, full optimizer state,
+/// and the epoch records, with every length written into the stream.
 fn checksum(ck: &Checkpoint) -> u64 {
-    let mut h = FNV_OFFSET;
-    fnv_u64(&mut h, ck.next_epoch as u64);
-    fnv_u64(&mut h, ck.weights.mats.len() as u64);
+    let mut h = WordHasher::new();
+    h.write_u64(ck.next_epoch as u64);
+    h.write_u64(ck.weights.mats.len() as u64);
     for m in &ck.weights.mats {
-        fnv_dense(&mut h, m);
+        hash_dense(&mut h, m);
     }
     match &ck.optimizer {
         Optimizer::Sgd { lr } => {
-            fnv_u64(&mut h, 0);
-            fnv_f64(&mut h, *lr);
+            h.write_u64(0);
+            h.write_f64s(&[*lr]);
         }
         Optimizer::Adam {
             lr,
@@ -129,23 +111,19 @@ fn checksum(ck: &Checkpoint) -> u64 {
             m,
             v,
         } => {
-            fnv_u64(&mut h, 1);
-            fnv_f64(&mut h, *lr);
-            fnv_f64(&mut h, *beta1);
-            fnv_f64(&mut h, *beta2);
-            fnv_f64(&mut h, *eps);
-            fnv_u64(&mut h, *t);
+            h.write_u64(1);
+            h.write_f64s(&[*lr, *beta1, *beta2, *eps]);
+            h.write_u64(*t);
             for d in m.iter().chain(v) {
-                fnv_dense(&mut h, d);
+                hash_dense(&mut h, d);
             }
         }
     }
-    fnv_u64(&mut h, ck.records.len() as u64);
+    h.write_u64(ck.records.len() as u64);
     for r in &ck.records {
-        fnv_f64(&mut h, r.loss);
-        fnv_f64(&mut h, r.train_accuracy);
+        h.write_f64s(&[r.loss, r.train_accuracy]);
     }
-    h
+    h.finish(&[])
 }
 
 impl CheckpointStore {
@@ -263,7 +241,9 @@ impl<'a> Reader<'a> {
 
 /// `[magic][save_seq][checksum][next_epoch][weights][optimizer][records]`,
 /// all u64 little-endian (f64 via `to_bits`). The checksum is the same
-/// FNV-1a the in-memory store uses, computed over the decoded snapshot.
+/// word hash the in-memory store uses, computed over the decoded
+/// snapshot; a slot written by a build with a different hash fails it
+/// and takes the fallback path like any corrupted slot.
 fn encode_checkpoint(ck: &Checkpoint, save_seq: u64) -> Vec<u8> {
     let mut buf = Vec::new();
     put_u64(&mut buf, DISK_MAGIC);
@@ -376,7 +356,7 @@ fn decode_checkpoint(bytes: &[u8]) -> Option<(Checkpoint, u64)> {
 ///
 /// Same fallback contract as [`CheckpointStore`]: `save` overwrites the
 /// *older* slot (atomically: temp file + rename), `restore` returns the
-/// highest-sequence slot that decodes and passes its FNV checksum.
+/// highest-sequence slot that decodes and passes its checksum.
 #[derive(Debug)]
 pub struct DiskCheckpointStore {
     dir: PathBuf,

@@ -419,6 +419,16 @@ fn link_fault_smoke(algo: SmokeAlgo, plan: FaultPlan) {
     let (clean, _) = smoke_spmm(algo, None).expect("fault-free run");
     assert!(clean.approx_eq(&expected, 1e-11), "clean result wrong");
     let (faulty, stats) = smoke_spmm(algo, Some(plan)).expect("link faults recover in place");
+    // Every corrupted frame that travelled was caught by the receiver's
+    // checksum: a hash that misses a flip fails here, by name, before
+    // the damage reaches the bit-identity comparison below.
+    let injected: u64 = stats.per_rank.iter().map(|r| r.faults.corruptions).sum();
+    let detected: u64 = stats
+        .per_rank
+        .iter()
+        .map(|r| r.faults.corruptions_detected)
+        .sum();
+    assert_eq!(detected, injected, "corruptions detected vs injected");
     // Bit-identical to the fault-free execution: retransmission is
     // invisible to the numerics.
     assert_eq!(faulty.data().len(), clean.data().len());
