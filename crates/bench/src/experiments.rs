@@ -502,7 +502,7 @@ pub fn algos(suite: &Suite, p: usize, seed: u64) -> (Table, Vec<(String, &'stati
             .map(|rp| {
                 rp.stages
                     .iter()
-                    .filter(|st| st.q != rp.i)
+                    .filter(|st| st.k != rp.i)
                     .map(|st| st.needed.len() as u64 * f * 8)
                     .sum::<u64>()
             })

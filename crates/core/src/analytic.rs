@@ -14,10 +14,9 @@ use gnn_comm::{CostModel, OverlapConfig};
 use spmat::Csr;
 
 use crate::dist::overlap::{chunk_groups, OverlapPlan1d};
-use crate::dist::plan::{Plan15d, Plan1d};
-use crate::dist::threed::Plan3d;
+use crate::dist::plan::Plan1d;
+use crate::dist::stages::StageLoop;
 use crate::dist::trainer::{build_plan, panel_cols, Pipeline, PlanKind};
-use crate::dist::twod::{Plan2d, Stage2d};
 use crate::dist::Algo;
 use crate::model::ArchKind;
 
@@ -239,22 +238,29 @@ enum StageSource {
     Nothing,
 }
 
-/// One stage-loop SpMM's charges (1.5D, 2D, 3D): the outbound blocks
-/// (`sends`: elements packed and bytes of each), then per stage its row
-/// source and multiply flops. Blocking with `chunks = None`; otherwise
-/// the pipelined schedule of [`crate::dist::overlap`] — every outbound
+/// One stage-loop SpMM's charges (1.5D, 2D, 3D) at operand width `f`:
+/// replays [`crate::dist::stages::run_stage_loop`] on the same
+/// [`StageLoop`] — the outbound blocks, then per stage its row source
+/// and multiply flops, then the trailing all-reduce. Blocking with
+/// `chunks = None`; otherwise the pipelined schedule — every outbound
 /// block lands on the first stage boundary, and each section's
 /// receives settle against the previous section's multiplies.
 fn stage_loop_charges(
-    sends: impl Iterator<Item = (u64, u64)>,
-    stages: &[(StageSource, u64)],
+    sl: &StageLoop<'_>,
+    f: u64,
     chunks: Option<usize>,
     model: &CostModel,
     st: &mut RankStats,
 ) {
+    let rows = (sl.rows.1 - sl.rows.0) as u64;
     let (mut pack_elems, mut send_ops, mut send_bytes) = (0u64, 0u64, 0u64);
-    for (pack, bytes) in sends {
-        pack_elems += pack;
+    for &(_, idx) in &sl.sends {
+        let bytes = if sl.aware {
+            pack_elems += idx.len() as u64 * f;
+            rows_payload_bytes(idx.len() as u64, f)
+        } else {
+            8 * rows * f
+        };
         send_ops += 1;
         send_bytes += bytes;
         let c = st.phase_mut(Phase::P2p);
@@ -268,160 +274,73 @@ fn stage_loop_charges(
         add_compute(st, model, pack_elems);
     }
 
-    let Some(chunks) = chunks else {
-        for (src, flops) in stages {
-            match *src {
-                StageSource::Local(gather) => add_compute(st, model, gather),
-                StageSource::Remote(bytes) => {
-                    let c = st.phase_mut(Phase::P2p);
-                    c.ops += 1;
-                    c.bytes_recv += bytes;
-                    c.modeled_seconds += model.p2p(bytes);
-                }
-                StageSource::Nothing => {}
-            }
-            add_compute(st, model, *flops);
-        }
-        return;
-    };
-    let mut prev_compute = 0.0f64;
-    for (g, &(slo, shi)) in chunk_groups(stages.len(), chunks).iter().enumerate() {
-        let (mut recv_ops, mut recv_bytes) = (0u64, 0u64);
-        for (src, _) in &stages[slo..shi] {
-            if let StageSource::Remote(bytes) = *src {
-                recv_ops += 1;
-                recv_bytes += bytes;
-                let c = st.phase_mut(Phase::P2p);
-                c.ops += 1;
-                c.bytes_recv += bytes;
-            }
-        }
-        let (s_ops, s_bytes) = if g == 0 {
-            (send_ops, send_bytes)
+    let stages = sl.stages.iter().map(|&(_, s)| {
+        let needed = s.needed.len() as u64;
+        let src = if s.k == sl.own {
+            StageSource::Local(needed * f)
+        } else if !sl.remote(s) {
+            StageSource::Nothing
+        } else if sl.aware {
+            StageSource::Remote(rows_payload_bytes(needed, f))
         } else {
-            (0, 0)
+            StageSource::Remote(8 * needed * f)
         };
-        let send_cost = s_ops as f64 * model.alpha + s_bytes as f64 * model.beta;
-        let recv_cost = recv_ops as f64 * model.alpha + recv_bytes as f64 * model.beta;
-        add_overlap_boundary(st, send_cost.max(recv_cost), prev_compute);
-
-        prev_compute = 0.0;
-        for (src, flops) in &stages[slo..shi] {
-            if let StageSource::Local(gather) = *src {
-                add_compute(st, model, gather);
-                prev_compute += model.compute(gather);
+        (src, 2 * s.block_compact.nnz() as u64 * f)
+    });
+    match chunks {
+        None => {
+            for (src, flops) in stages {
+                match src {
+                    StageSource::Local(gather) => add_compute(st, model, gather),
+                    StageSource::Remote(bytes) => {
+                        let c = st.phase_mut(Phase::P2p);
+                        c.ops += 1;
+                        c.bytes_recv += bytes;
+                        c.modeled_seconds += model.p2p(bytes);
+                    }
+                    StageSource::Nothing => {}
+                }
+                add_compute(st, model, flops);
             }
-            add_compute(st, model, *flops);
-            prev_compute += model.compute(*flops);
+        }
+        Some(chunks) => {
+            let stages: Vec<(StageSource, u64)> = stages.collect();
+            let mut prev_compute = 0.0f64;
+            for (g, &(slo, shi)) in chunk_groups(stages.len(), chunks).iter().enumerate() {
+                let (mut recv_ops, mut recv_bytes) = (0u64, 0u64);
+                for (src, _) in &stages[slo..shi] {
+                    if let StageSource::Remote(bytes) = *src {
+                        recv_ops += 1;
+                        recv_bytes += bytes;
+                        let c = st.phase_mut(Phase::P2p);
+                        c.ops += 1;
+                        c.bytes_recv += bytes;
+                    }
+                }
+                let (s_ops, s_bytes) = if g == 0 {
+                    (send_ops, send_bytes)
+                } else {
+                    (0, 0)
+                };
+                let send_cost = s_ops as f64 * model.alpha + s_bytes as f64 * model.beta;
+                let recv_cost = recv_ops as f64 * model.alpha + recv_bytes as f64 * model.beta;
+                add_overlap_boundary(st, send_cost.max(recv_cost), prev_compute);
+
+                prev_compute = 0.0;
+                for (src, flops) in &stages[slo..shi] {
+                    if let StageSource::Local(gather) = *src {
+                        add_compute(st, model, gather);
+                        prev_compute += model.compute(gather);
+                    }
+                    add_compute(st, model, *flops);
+                    prev_compute += model.compute(*flops);
+                }
+            }
         }
     }
-}
-
-/// Elements packed and bytes shipped for one outbound block of `rows`
-/// (sparsity-aware) or the whole `rows_i`-row block (oblivious).
-fn send_charge(rows: usize, rows_i: u64, aware: bool, f: u64) -> (u64, u64) {
-    if aware {
-        (rows as u64 * f, rows_payload_bytes(rows as u64, f))
-    } else {
-        (0, 8 * rows_i * f)
+    if let Some(group) = &sl.reduce {
+        add_allreduce(st, model, 8 * rows * f, group.len());
     }
-}
-
-/// One 1.5D SpMM's charges on linear rank `me`: replays
-/// [`crate::dist::onefived::spmm_15d_buf`] (or its pipelined twin), then
-/// the process-row all-reduce over the `c` replicas.
-fn spmm_15d_charges(
-    plan: &Plan15d,
-    me: usize,
-    f: u64,
-    aware: bool,
-    chunks: Option<usize>,
-    model: &CostModel,
-    st: &mut RankStats,
-) {
-    let rp = &plan.ranks[me];
-    let rows_i = (rp.row_hi - rp.row_lo) as u64;
-    let sends = (rp.send_lists.iter().enumerate())
-        .filter(|&(l, idx)| l != rp.i && !idx.is_empty())
-        .map(|(_, idx)| send_charge(idx.len(), rows_i, aware, f));
-    let stages: Vec<(StageSource, u64)> = (rp.stages.iter())
-        .map(|s| {
-            let src = if s.q == rp.i {
-                StageSource::Local(s.needed.len() as u64 * f)
-            } else if s.needed.is_empty() {
-                StageSource::Nothing
-            } else if aware {
-                StageSource::Remote(rows_payload_bytes(s.needed.len() as u64, f))
-            } else {
-                StageSource::Remote(8 * (plan.bounds[s.q + 1] - plan.bounds[s.q]) as u64 * f)
-            };
-            (src, 2 * s.block_compact.nnz() as u64 * f)
-        })
-        .collect();
-    stage_loop_charges(sends, &stages, chunks, model, st);
-    add_allreduce(st, model, 8 * rows_i * f, plan.c);
-}
-
-/// One grid rank's SUMMA stages at panel width `f` (shared by 2D and
-/// 3D, whose stage plans differ only in which slice a rank folds).
-fn grid_stages(stages: &[Stage2d], i: usize, aware: bool, f: u64) -> Vec<(StageSource, u64)> {
-    stages
-        .iter()
-        .map(|s| {
-            let src = if s.k == i {
-                StageSource::Local(s.needed.len() as u64 * f)
-            } else if s.needed.is_empty() {
-                StageSource::Nothing
-            } else if aware {
-                StageSource::Remote(rows_payload_bytes(s.needed.len() as u64, f))
-            } else {
-                StageSource::Remote(8 * s.needed.len() as u64 * f)
-            };
-            (src, 2 * s.block_compact.nnz() as u64 * f)
-        })
-        .collect()
-}
-
-/// One 2D (SUMMA) SpMM's charges on linear rank `me` at panel width
-/// `f`: replays [`crate::dist::twod::spmm_2d_buf`] (or its pipelined
-/// twin) — grid-column sends of the own block's rows, then the
-/// `pr`-stage receive/multiply loop.
-fn spmm_2d_charges(
-    plan: &Plan2d,
-    me: usize,
-    f: u64,
-    chunks: Option<usize>,
-    model: &CostModel,
-    st: &mut RankStats,
-) {
-    let rp = &plan.ranks[me];
-    let rows_i = (rp.row_hi - rp.row_lo) as u64;
-    let sends = (rp.send_lists.iter().enumerate())
-        .filter(|&(l, idx)| plan.rank_of(l, rp.j) != me && !idx.is_empty())
-        .map(|(_, idx)| send_charge(idx.len(), rows_i, plan.aware, f));
-    let stages = grid_stages(&rp.stages, rp.i, plan.aware, f);
-    stage_loop_charges(sends, &stages, chunks, model, st);
-}
-
-/// One 3D SpMM's charges: the 2D stage replay restricted to this
-/// layer's slice (only the designated-sender layer has send lists),
-/// plus the trailing fiber all-reduce over the `c` replicas.
-fn spmm_3d_charges(
-    plan: &Plan3d,
-    me: usize,
-    f: u64,
-    chunks: Option<usize>,
-    model: &CostModel,
-    st: &mut RankStats,
-) {
-    let rp = &plan.ranks[me];
-    let rows_i = (rp.row_hi - rp.row_lo) as u64;
-    let sends = (rp.send_lists.iter().enumerate())
-        .filter(|&(t, idx)| plan.rank_of(t, rp.j, rp.l) != me && !idx.is_empty())
-        .map(|(_, idx)| send_charge(idx.len(), rows_i, plan.aware, f));
-    let stages = grid_stages(&rp.stages, rp.i, plan.aware, f);
-    stage_loop_charges(sends, &stages, chunks, model, st);
-    add_allreduce(st, model, 8 * rows_i * f, plan.c);
 }
 
 impl PlanKind {
@@ -435,10 +354,6 @@ impl PlanKind {
         model: &CostModel,
         st: &mut RankStats,
     ) {
-        let chunks = match pipe {
-            Some(Pipeline::Stages(k)) => Some(*k),
-            _ => None,
-        };
         match (self, pipe) {
             (PlanKind::OneD { plan, aware: true }, None) => {
                 spmm_1d_aware_charges(plan, me, f, model, st)
@@ -456,11 +371,10 @@ impl PlanKind {
             (PlanKind::OneD { .. }, Some(Pipeline::Stages(_))) => {
                 unreachable!("pipeline state built for another plan")
             }
-            (PlanKind::OneFiveD { plan, aware }, _) => {
-                spmm_15d_charges(plan, me, f, *aware, chunks, model, st)
+            (_, pipe) => {
+                let sl = self.stage_loop(me).expect("a stage-loop plan");
+                stage_loop_charges(&sl, f, Pipeline::chunks(pipe), model, st)
             }
-            (PlanKind::TwoD(pl), _) => spmm_2d_charges(pl, me, f, chunks, model, st),
-            (PlanKind::ThreeD(pl), _) => spmm_3d_charges(pl, me, f, chunks, model, st),
         }
     }
 }

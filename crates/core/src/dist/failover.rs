@@ -30,7 +30,6 @@
 
 use gnn_comm::msg::Payload;
 use gnn_comm::{Phase, RankCtx, SpanKind};
-use spmat::spmm::{spmm_acc, spmm_flops};
 use spmat::Dense;
 
 use super::buffers::EpochBuffers;
@@ -130,99 +129,33 @@ pub fn spmm_15d_failover_buf(
     bufs: &mut EpochBuffers,
 ) -> Dense {
     let me = ctx.rank();
-    let rp_me = &plan.ranks[me];
-    let f = h_local.cols();
-    let rows_i = rp_me.row_hi - rp_me.row_lo;
-    assert_eq!(h_local.rows(), rows_i, "local H block shape mismatch");
     let personas = view.personas_of(me);
+    let loops: Vec<_> = (personas.iter())
+        .map(|&r| plan.stage_loop(r, aware))
+        .collect();
+    let host = |r: usize| view.host_of(r);
     ctx.span_begin(SpanKind::Spmm15d, Phase::P2p);
 
     // Phase 1: designated-sender shipments, for every persona. All of
     // this host's personas share grid row `i`, so at most one of them is
     // row `i`'s designated sender, and the data it ships is packed from
-    // the host's own replicated block.
-    for &persona in &personas {
-        let rp = &plan.ranks[persona];
-        if rp.send_lists.is_empty() {
-            continue;
-        }
-        let mut pack_elems = 0u64;
-        for l in 0..plan.pr {
-            let dst = plan.rank_of(l, rp.j);
-            if dst == persona {
-                continue; // that persona's own stage gathers locally
-            }
-            let idx = &rp.send_lists[l];
-            if idx.is_empty() {
-                continue;
-            }
-            // A destination hosted *here* would be a same-grid-row
-            // persona, i.e. the local-gather case excluded above.
-            debug_assert_ne!(view.host_of(dst), me, "self-send in failover plan");
-            let payload = if aware {
-                let mut data = bufs.take_zeroed(idx.len() * f);
-                h_local.pack_rows_into(idx, rp.row_lo, &mut data);
-                pack_elems += (idx.len() * f) as u64;
-                let mut ids = bufs.take_u32(idx.len());
-                ids.extend_from_slice(idx);
-                Payload::Rows { idx: ids, data }
-            } else {
-                let mut data = bufs.take_vec(h_local.data().len());
-                data.extend_from_slice(h_local.data());
-                Payload::F64(data)
-            };
-            ctx.send(view.host_of(dst), payload);
-        }
-        if pack_elems > 0 {
-            ctx.record_compute(pack_elems);
-        }
+    // the host's own replicated block. A destination hosted *here*
+    // would be a same-grid-row persona, i.e. that persona's local stage.
+    for sl in &loops {
+        sl.ship(ctx, h_local, host, None, bufs);
     }
 
     // Phase 2: each persona's stage loop, producing one partial per
     // persona. Receives are redirected to the effective host of each
     // logical source; per (host, host) channel at most one frame is in
     // flight per SpMM, so ordering is unambiguous.
-    let mut partials: Vec<Dense> = Vec::with_capacity(personas.len());
-    for &persona in &personas {
-        let rp = &plan.ranks[persona];
-        let mut partial = bufs.take_dense(rows_i, f);
-        for st in &rp.stages {
-            let h_stage: Dense = if st.q == rp.i {
-                let mut data = bufs.take_zeroed(st.needed.len() * f);
-                h_local.pack_rows_into(&st.needed, rp.row_lo, &mut data);
-                ctx.record_compute((st.needed.len() * f) as u64);
-                Dense::from_vec(st.needed.len(), f, data)
-            } else if st.needed.is_empty() {
-                Dense::zeros(0, f)
-            } else {
-                let src = view.host_of(plan.rank_of(st.q, rp.j));
-                if aware {
-                    let (idx, data) = ctx.recv(src).into_rows();
-                    debug_assert_eq!(idx, st.needed, "row ids mismatch from host {src}");
-                    let d = Dense::from_vec(idx.len(), f, data);
-                    bufs.put_u32(idx);
-                    d
-                } else {
-                    let data = ctx.recv(src).into_f64();
-                    assert_eq!(
-                        data.len(),
-                        st.needed.len() * f,
-                        "block size mismatch from {src}"
-                    );
-                    Dense::from_vec(st.needed.len(), f, data)
-                }
-            };
-            let flops = spmm_flops(&st.block_compact, f);
-            let block = &st.block_compact;
-            ctx.compute(flops, || spmm_acc(block, &h_stage, &mut partial));
-            bufs.put_dense(h_stage);
-        }
-        partials.push(partial);
-    }
+    let partials: Vec<Dense> = (loops.iter())
+        .map(|sl| sl.fold(ctx, h_local, host, None, bufs))
+        .collect();
 
     // Phase 3: process-row all-reduce with dead slots folded from their
     // proxies' persona partials, in fault-free slot order.
-    let z = failover_row_allreduce(ctx, plan, view, rp_me.i, &personas, partials, bufs);
+    let z = failover_row_allreduce(ctx, plan, view, plan.ranks[me].i, &personas, partials, bufs);
     ctx.span_end();
     z
 }

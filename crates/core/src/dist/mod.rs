@@ -11,6 +11,7 @@ pub mod overlap;
 pub mod plan;
 #[cfg(unix)]
 pub mod proc;
+pub(crate) mod stages;
 pub mod threed;
 pub mod trainer;
 pub mod twod;
@@ -20,10 +21,7 @@ pub use checkpoint::{
     clear_disk_checkpoints, Checkpoint, CheckpointBackend, CheckpointStore, DiskCheckpointStore,
 };
 pub use failover::{failover_allreduce_replicated, spmm_15d_failover_buf, FailoverView};
-pub use overlap::{
-    spmm_15d_pipelined_buf, spmm_1d_aware_pipelined_buf, spmm_1d_oblivious_pipelined_buf,
-    spmm_2d_pipelined_buf, spmm_3d_pipelined_buf, OverlapPlan1d,
-};
+pub use overlap::{spmm_1d_aware_pipelined_buf, spmm_1d_oblivious_pipelined_buf, OverlapPlan1d};
 pub use plan::{even_bounds, Plan15d, Plan1d};
 #[cfg(unix)]
 pub use proc::{

@@ -10,13 +10,12 @@
 //! ships only `NnzCols(l, q)` rows to each consumer `(l, j*)`; the
 //! oblivious variant ships the whole block.
 
-use gnn_comm::msg::Payload;
-use gnn_comm::{Phase, RankCtx, SpanKind};
-use spmat::spmm::{spmm_acc, spmm_flops};
+use gnn_comm::RankCtx;
 use spmat::Dense;
 
 use super::buffers::EpochBuffers;
 use super::plan::Plan15d;
+use super::stages::run_stage_loop;
 
 /// Executes one 1.5D SpMM on the calling rank. `h_local` is this rank's
 /// replicated block row `H_i`; `aware` must match the plan's build flag.
@@ -36,85 +35,13 @@ pub fn spmm_15d_buf(
     aware: bool,
     bufs: &mut EpochBuffers,
 ) -> Dense {
-    let me = ctx.rank();
-    let rp = &plan.ranks[me];
-    let f = h_local.cols();
-    let rows_i = rp.row_hi - rp.row_lo;
-    assert_eq!(h_local.rows(), rows_i, "local H block shape mismatch");
-    ctx.span_begin(SpanKind::Spmm15d, Phase::P2p);
-
-    // Phase 1: designated senders ship block-row data to their column.
-    if !rp.send_lists.is_empty() {
-        let mut pack_elems = 0u64;
-        for l in 0..plan.pr {
-            let dst = plan.rank_of(l, rp.j);
-            if dst == me {
-                continue; // own stage gathers locally below
-            }
-            let idx = &rp.send_lists[l];
-            if idx.is_empty() {
-                continue;
-            }
-            let payload = if aware {
-                let mut data = bufs.take_zeroed(idx.len() * f);
-                h_local.pack_rows_into(idx, rp.row_lo, &mut data);
-                pack_elems += (idx.len() * f) as u64;
-                let mut ids = bufs.take_u32(idx.len());
-                ids.extend_from_slice(idx);
-                Payload::Rows { idx: ids, data }
-            } else {
-                let mut data = bufs.take_vec(h_local.data().len());
-                data.extend_from_slice(h_local.data());
-                Payload::F64(data)
-            };
-            ctx.send(dst, payload);
-        }
-        if pack_elems > 0 {
-            ctx.record_compute(pack_elems);
-        }
-    }
-
-    // Phase 2: stage loop — receive (or locally gather) each needed H
-    // block and accumulate the partial product.
-    let mut partial = bufs.take_dense(rows_i, f);
-    for st in &rp.stages {
-        let h_stage: Dense = if st.q == rp.i {
-            // Local gather of our own replicated block's needed rows.
-            let mut data = bufs.take_zeroed(st.needed.len() * f);
-            h_local.pack_rows_into(&st.needed, rp.row_lo, &mut data);
-            ctx.record_compute((st.needed.len() * f) as u64);
-            Dense::from_vec(st.needed.len(), f, data)
-        } else if st.needed.is_empty() {
-            Dense::zeros(0, f)
-        } else {
-            let src = plan.rank_of(st.q, rp.j);
-            if aware {
-                let (idx, data) = ctx.recv(src).into_rows();
-                debug_assert_eq!(idx, st.needed, "row ids mismatch from rank {src}");
-                let d = Dense::from_vec(idx.len(), f, data);
-                bufs.put_u32(idx);
-                d
-            } else {
-                let data = ctx.recv(src).into_f64();
-                assert_eq!(
-                    data.len(),
-                    st.needed.len() * f,
-                    "block size mismatch from {src}"
-                );
-                Dense::from_vec(st.needed.len(), f, data)
-            }
-        };
-        let flops = spmm_flops(&st.block_compact, f);
-        let block = &st.block_compact;
-        ctx.compute(flops, || spmm_acc(block, &h_stage, &mut partial));
-        bufs.put_dense(h_stage);
-    }
-
-    // Phase 3: sum partials across the process row.
-    let group: Vec<usize> = (0..plan.c).map(|j| plan.rank_of(rp.i, j)).collect();
-    ctx.allreduce_sum(partial.data_mut(), &group);
-    ctx.span_end();
-    partial
+    run_stage_loop(
+        ctx,
+        &plan.stage_loop(ctx.rank(), aware),
+        h_local,
+        None,
+        bufs,
+    )
 }
 
 #[cfg(test)]

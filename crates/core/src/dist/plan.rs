@@ -9,13 +9,15 @@
 //! * [`Plan1d`] — block-row distribution over `p` ranks (Algorithm 1).
 //! * [`Plan15d`] — `p/c × c` grid with block rows replicated `c` times
 //!   (Algorithm 2).
+//! * `BlockTable` — the `Aᵀ[i][k]` tiles every stage-loop plan (1.5D,
+//!   2D, 3D) is assembled from.
 
+use gnn_comm::SpanKind;
 use spmat::Csr;
 
-/// Per-rank plan for the 1D algorithms.
-/// Per (block-row, block-col) cache of (needed rows, compact block).
-type BlockCache = Vec<Vec<Option<(Vec<u32>, Csr)>>>;
+use super::stages::StageLoop;
 
+/// Per-rank plan for the 1D algorithms.
 #[derive(Clone, Debug)]
 pub struct RankPlan1d {
     /// First global row owned.
@@ -145,18 +147,73 @@ impl Plan1d {
     }
 }
 
-/// One stage of the 1.5D computation on one rank: the column block it
-/// multiplies and the `H` rows that block needs.
+/// One stage of a stage-loop SpMM (1.5D, 2D, 3D) on one rank: the tile
+/// `Aᵀ[i][k]` of the owned block row and the `H` rows it reads.
 #[derive(Clone, Debug)]
-pub struct StagePlan {
-    /// Block-row index `q` whose `H` block this stage consumes.
-    pub q: usize,
-    /// `Aᵀᵢq` with columns remapped to positions in `needed`.
+pub struct Stage {
+    /// Block-row index `k` of `H` this stage consumes.
+    pub k: usize,
+    /// `Aᵀ[i][k]` with columns remapped to positions in `needed`.
     pub block_compact: Csr,
-    /// Global row ids of `H_q` this stage reads (`NnzCols(i, q)` for the
-    /// sparsity-aware variant; the whole of `q`'s range for the oblivious
-    /// variant).
+    /// Global row ids of `H_k` this stage reads (`NnzCols(i, k)` for the
+    /// sparsity-aware variant; the whole of `k`'s range for the
+    /// oblivious variant).
     pub needed: Vec<u32>,
+}
+
+/// The `Aᵀ[i][k]` tiles of a block-row distribution, each cut once and
+/// shared by every replica, panel and layer that folds it.
+pub(crate) struct BlockTable<'a> {
+    adj: &'a Csr,
+    bounds: &'a [usize],
+    aware: bool,
+    /// `tiles[i][k]`: stage `k` of block row `i`, once built.
+    tiles: Vec<Vec<Option<Stage>>>,
+}
+
+impl<'a> BlockTable<'a> {
+    /// An empty table over block rows `bounds`; `aware` selects
+    /// `NnzCols` (sparsity-aware) or whole blocks (oblivious).
+    pub fn new(adj: &'a Csr, bounds: &'a [usize], aware: bool) -> Self {
+        let parts = bounds.len() - 1;
+        let tiles = (0..parts).map(|_| vec![None; parts]).collect();
+        BlockTable {
+            adj,
+            bounds,
+            aware,
+            tiles,
+        }
+    }
+
+    fn tile(&mut self, i: usize, k: usize) -> &Stage {
+        let (adj, b, aware) = (self.adj, self.bounds, self.aware);
+        self.tiles[i][k].get_or_insert_with(|| {
+            // Aᵀ[i][k]: rows [b_i, b_{i+1}), cols restricted to block k.
+            let (klo, khi) = (b[k], b[k + 1]);
+            let block = adj.row_block(b[i], b[i + 1]).col_range_block(klo, khi);
+            let needed: Vec<u32> = if aware {
+                block.distinct_cols_in_range(klo, khi)
+            } else {
+                (klo as u32..khi as u32).collect()
+            };
+            Stage {
+                k,
+                block_compact: block.remap_cols(&needed),
+                needed,
+            }
+        })
+    }
+
+    /// Stage `k` of block row `i`.
+    pub fn stage(&mut self, i: usize, k: usize) -> Stage {
+        self.tile(i, k).clone()
+    }
+
+    /// The rows of `H_k` block row `i` reads: what `k`'s designated
+    /// sender ships to `i`'s consumer.
+    pub fn needed(&mut self, i: usize, k: usize) -> Vec<u32> {
+        self.tile(i, k).needed.clone()
+    }
 }
 
 /// Per-rank plan for the 1.5D algorithms.
@@ -171,7 +228,7 @@ pub struct RankPlan15d {
     /// One past the last global row of the owned block.
     pub row_hi: usize,
     /// The `s = p/c²` stages this rank executes.
-    pub stages: Vec<StagePlan>,
+    pub stages: Vec<Stage>,
     /// If this rank is its block row's designated sender (its grid column
     /// consumes block row `i`), `send_lists[l]` holds the global rows of
     /// `H_i` to ship to grid-row `l` in the same column. Empty otherwise.
@@ -220,50 +277,16 @@ impl Plan15d {
         assert_eq!(bounds.len(), pr + 1, "bounds must have p/c + 1 entries");
         assert_eq!(bounds[pr], n);
 
-        // Per (block-row i, block-col q): the needed rows and compact
-        // block, computed once and cloned into the c replicas.
+        let mut table = BlockTable::new(adj, bounds, aware);
         let mut ranks = Vec::with_capacity(p);
-        // needed_all[i][q] — computed lazily per (i, q) used.
-        let mut needed_cache: BlockCache =
-            (0..pr).map(|_| (0..pr).map(|_| None).collect()).collect();
-
-        let mut block_of = |i: usize, q: usize| -> (Vec<u32>, Csr) {
-            if let Some(v) = &needed_cache[i][q] {
-                return v.clone();
-            }
-            let (lo, hi) = (bounds[i], bounds[i + 1]);
-            let (qlo, qhi) = (bounds[q], bounds[q + 1]);
-            // Aᵀ_{i,q}: rows [lo,hi), cols restricted to [qlo,qhi).
-            let block = adj.row_block(lo, hi).col_range_block(qlo, qhi);
-            let needed: Vec<u32> = if aware {
-                block.distinct_cols_in_range(qlo, qhi)
-            } else {
-                (qlo as u32..qhi as u32).collect()
-            };
-            let compact = block.remap_cols(&needed);
-            let out = (needed, compact);
-            needed_cache[i][q] = Some(out.clone());
-            out
-        };
-
         for i in 0..pr {
             for j in 0..c {
-                let stages: Vec<StagePlan> = (0..s)
-                    .map(|k| {
-                        let q = j * s + k;
-                        let (needed, block_compact) = block_of(i, q);
-                        StagePlan {
-                            q,
-                            block_compact,
-                            needed,
-                        }
-                    })
-                    .collect();
+                let stages: Vec<Stage> = (j * s..(j + 1) * s).map(|k| table.stage(i, k)).collect();
                 // Designated sender of block row i is the replica in the
                 // grid column that consumes block row i: j* = i / s.
                 let is_sender = j == i / s;
                 let send_lists: Vec<Vec<u32>> = if is_sender {
-                    (0..pr).map(|l| block_of(l, i).0).collect()
+                    (0..pr).map(|l| table.needed(l, i)).collect()
                 } else {
                     Vec::new()
                 };
@@ -286,6 +309,22 @@ impl Plan15d {
             bounds: bounds.to_vec(),
             ranks,
         }
+    }
+
+    /// Rank `me`'s stage loop: its grid column's designated senders
+    /// ship to it, and the `c` replicas of its block row sum their
+    /// partials.
+    pub(crate) fn stage_loop(&self, me: usize, aware: bool) -> StageLoop<'_> {
+        let rp = &self.ranks[me];
+        StageLoop::new(
+            SpanKind::Spmm15d,
+            aware,
+            (rp.i, rp.row_lo, rp.row_hi),
+            &rp.stages,
+            &rp.send_lists,
+            |k| self.rank_of(k, rp.j),
+            Some((0..self.c).map(|j| self.rank_of(rp.i, j)).collect()),
+        )
     }
 }
 
@@ -370,9 +409,9 @@ mod tests {
                 let rp = &plan.ranks[plan.rank_of(i, j)];
                 assert_eq!((rp.i, rp.j), (i, j));
                 assert_eq!(rp.stages.len(), 2);
-                // Stages cover q = j*s..(j+1)*s.
-                let qs: Vec<usize> = rp.stages.iter().map(|st| st.q).collect();
-                assert_eq!(qs, vec![j * 2, j * 2 + 1]);
+                // Stages cover k = j*s..(j+1)*s.
+                let ks: Vec<usize> = rp.stages.iter().map(|st| st.k).collect();
+                assert_eq!(ks, vec![j * 2, j * 2 + 1]);
             }
         }
     }
@@ -426,7 +465,7 @@ mod tests {
             for st in &rp.stages {
                 assert_eq!(
                     st.needed.len(),
-                    bounds[st.q + 1] - bounds[st.q],
+                    bounds[st.k + 1] - bounds[st.k],
                     "oblivious stage must need the whole block"
                 );
             }

@@ -22,16 +22,12 @@
 //! sender for stage `k` inside layer `l` ships only the `NnzCols(i, k)`
 //! rows each grid-row peer actually touches.
 
-use gnn_comm::msg::Payload;
-use gnn_comm::{Phase, RankCtx, SpanKind};
-use spmat::spmm::{spmm_acc, spmm_flops};
+use gnn_comm::{RankCtx, SpanKind};
 use spmat::{Csr, Dense};
 
 use super::buffers::EpochBuffers;
-use super::twod::Stage2d;
-
-/// Per (grid-row, stage) cache of (needed rows, compact block).
-type BlockCache = Vec<Vec<Option<(Vec<u32>, Csr)>>>;
+use super::plan::{BlockTable, Stage};
+use super::stages::{run_stage_loop, StageLoop};
 
 /// Per-rank plan for the 3D algorithm.
 #[derive(Clone, Debug)]
@@ -47,7 +43,7 @@ pub struct RankPlan3d {
     /// End of the global row range.
     pub row_hi: usize,
     /// SUMMA stages this rank's layer folds (`k ∈ [s_l, s_{l+1})`).
-    pub stages: Vec<Stage2d>,
+    pub stages: Vec<Stage>,
     /// `send_lists[t]` — rows of the owned `H` block to ship to grid row
     /// `t` of the same column and layer. Non-empty only on the layer
     /// that folds stage `k = i` (the designated sender replica).
@@ -118,46 +114,21 @@ impl Plan3d {
                 .expect("stage outside layer slices")
         };
 
-        // Per (i, k): needed rows + compact block, shared by every panel
-        // and layer replica of grid row i.
-        let mut cache: BlockCache = (0..pr).map(|_| (0..pr).map(|_| None).collect()).collect();
-        let mut block_of = |i: usize, k: usize| -> (Vec<u32>, Csr) {
-            if let Some(v) = &cache[i][k] {
-                return v.clone();
-            }
-            let (lo, hi) = (bounds[i], bounds[i + 1]);
-            let (klo, khi) = (bounds[k], bounds[k + 1]);
-            let block = adj.row_block(lo, hi).col_range_block(klo, khi);
-            let needed: Vec<u32> = if aware {
-                block.distinct_cols_in_range(klo, khi)
-            } else {
-                (klo as u32..khi as u32).collect()
-            };
-            let compact = block.remap_cols(&needed);
-            let out = (needed, compact);
-            cache[i][k] = Some(out.clone());
-            out
-        };
-
+        // Every tile is shared by the panel and layer replicas of its
+        // grid row.
+        let mut table = BlockTable::new(adj, bounds, aware);
         let mut ranks = Vec::with_capacity(pr * pc * c);
         for l in 0..c {
             for i in 0..pr {
                 for j in 0..pc {
-                    let stages: Vec<Stage2d> = (layer_slices[l]..layer_slices[l + 1])
-                        .map(|k| {
-                            let (needed, block_compact) = block_of(i, k);
-                            Stage2d {
-                                k,
-                                block_compact,
-                                needed,
-                            }
-                        })
+                    let stages: Vec<Stage> = (layer_slices[l]..layer_slices[l + 1])
+                        .map(|k| table.stage(i, k))
                         .collect();
                     // Only the replica living on the layer that folds
                     // stage k = i ships its block; all p2p stays within
                     // that layer.
                     let send_lists: Vec<Vec<u32>> = if layer_of(i) == l {
-                        (0..pr).map(|t| block_of(t, i).0).collect()
+                        (0..pr).map(|t| table.needed(t, i)).collect()
                     } else {
                         Vec::new()
                     };
@@ -184,6 +155,22 @@ impl Plan3d {
             ranks,
         }
     }
+
+    /// Rank `me`'s stage loop: its layer's slice of the SUMMA stages,
+    /// shipped within its grid column and layer, then the fiber
+    /// all-reduce over the `c` replicas of its block.
+    pub(crate) fn stage_loop(&self, me: usize) -> StageLoop<'_> {
+        let rp = &self.ranks[me];
+        StageLoop::new(
+            SpanKind::Spmm3d,
+            self.aware,
+            (rp.i, rp.row_lo, rp.row_hi),
+            &rp.stages,
+            &rp.send_lists,
+            |k| self.rank_of(k, rp.j, rp.l),
+            Some(self.fiber_group(rp.i, rp.j)),
+        )
+    }
 }
 
 /// One 3D SpMM: computes `Z[i][j] = (Aᵀ H)[i][j]` from the local block
@@ -203,78 +190,7 @@ pub fn spmm_3d_buf(
     h_local: &Dense,
     bufs: &mut EpochBuffers,
 ) -> Dense {
-    let me = ctx.rank();
-    let rp = &plan.ranks[me];
-    let fw = h_local.cols();
-    let rows_i = rp.row_hi - rp.row_lo;
-    assert_eq!(h_local.rows(), rows_i, "local H block shape mismatch");
-    ctx.span_begin(SpanKind::Spmm3d, Phase::P2p);
-
-    // Send phase: the designated sender replica ships its block's rows
-    // to every grid-row peer in its column and layer.
-    let mut pack_elems = 0u64;
-    for (t, idx) in rp.send_lists.iter().enumerate() {
-        let dst = plan.rank_of(t, rp.j, rp.l);
-        if dst == me || idx.is_empty() {
-            continue;
-        }
-        let payload = if plan.aware {
-            let mut data = bufs.take_zeroed(idx.len() * fw);
-            h_local.pack_rows_into(idx, rp.row_lo, &mut data);
-            pack_elems += (idx.len() * fw) as u64;
-            let mut ids = bufs.take_u32(idx.len());
-            ids.extend_from_slice(idx);
-            Payload::Rows { idx: ids, data }
-        } else {
-            let mut data = bufs.take_vec(h_local.data().len());
-            data.extend_from_slice(h_local.data());
-            Payload::F64(data)
-        };
-        ctx.send(dst, payload);
-    }
-    if pack_elems > 0 {
-        ctx.record_compute(pack_elems);
-    }
-
-    // Stage loop over this layer's slice only.
-    let mut z = bufs.take_dense(rows_i, fw);
-    for st in &rp.stages {
-        let h_stage: Dense = if st.k == rp.i {
-            let mut data = bufs.take_zeroed(st.needed.len() * fw);
-            h_local.pack_rows_into(&st.needed, rp.row_lo, &mut data);
-            ctx.record_compute((st.needed.len() * fw) as u64);
-            Dense::from_vec(st.needed.len(), fw, data)
-        } else if st.needed.is_empty() {
-            Dense::zeros(0, fw)
-        } else {
-            let src = plan.rank_of(st.k, rp.j, rp.l);
-            if plan.aware {
-                let (idx, data) = ctx.recv(src).into_rows();
-                debug_assert_eq!(idx, st.needed, "row ids mismatch from rank {src}");
-                let d = Dense::from_vec(idx.len(), fw, data);
-                bufs.put_u32(idx);
-                d
-            } else {
-                let data = ctx.recv(src).into_f64();
-                assert_eq!(
-                    data.len(),
-                    st.needed.len() * fw,
-                    "block size mismatch from {src}"
-                );
-                Dense::from_vec(st.needed.len(), fw, data)
-            }
-        };
-        let flops = spmm_flops(&st.block_compact, fw);
-        let block = &st.block_compact;
-        ctx.compute(flops, || spmm_acc(block, &h_stage, &mut z));
-        bufs.put_dense(h_stage);
-    }
-
-    // Fiber reduction: sum the c per-layer partials of block (i, j).
-    let fiber = plan.fiber_group(rp.i, rp.j);
-    ctx.allreduce_sum(z.data_mut(), &fiber);
-    ctx.span_end();
-    z
+    run_stage_loop(ctx, &plan.stage_loop(ctx.rank()), h_local, None, bufs)
 }
 
 #[cfg(test)]

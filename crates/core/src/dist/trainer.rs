@@ -56,14 +56,11 @@ use super::buffers::EpochBuffers;
 use super::checkpoint::{Checkpoint, CheckpointBackend, CheckpointStore};
 use super::failover::{failover_allreduce_replicated, spmm_15d_failover_buf, FailoverView};
 use super::oned::{spmm_1d_aware_buf, spmm_1d_oblivious_buf};
-use super::onefived::spmm_15d_buf;
-use super::overlap::{
-    spmm_15d_pipelined_buf, spmm_1d_aware_pipelined_buf, spmm_1d_oblivious_pipelined_buf,
-    spmm_2d_pipelined_buf, spmm_3d_pipelined_buf, OverlapPlan1d,
-};
+use super::overlap::{spmm_1d_aware_pipelined_buf, spmm_1d_oblivious_pipelined_buf, OverlapPlan1d};
 use super::plan::{Plan15d, Plan1d};
-use super::threed::{spmm_3d_buf, Plan3d};
-use super::twod::{spmm_2d_buf, Plan2d};
+use super::stages::{run_stage_loop, StageLoop};
+use super::threed::Plan3d;
+use super::twod::Plan2d;
 
 /// Which distributed SpMM drives training.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -294,6 +291,16 @@ pub(crate) enum Pipeline {
     Stages(usize),
 }
 
+impl Pipeline {
+    /// The stage loop's schedule: `Some(chunks)` when pipelined.
+    pub(crate) fn chunks(pipe: Option<&Pipeline>) -> Option<usize> {
+        match pipe {
+            Some(Pipeline::Stages(k)) => Some(*k),
+            _ => None,
+        }
+    }
+}
+
 impl PlanKind {
     /// The block row `[lo, hi)` rank `me` owns.
     pub(crate) fn rows(&self, me: usize) -> (usize, usize) {
@@ -364,6 +371,18 @@ impl PlanKind {
         }
     }
 
+    /// Rank `me`'s 1.5D/2D/3D stage loop (`None` for 1D): the one place
+    /// a family's plan becomes what the executor runs and the analytic
+    /// replay prices.
+    pub(crate) fn stage_loop(&self, me: usize) -> Option<StageLoop<'_>> {
+        match self {
+            PlanKind::OneD { .. } => None,
+            PlanKind::OneFiveD { plan, aware } => Some(plan.stage_loop(me, *aware)),
+            PlanKind::TwoD(pl) => Some(pl.stage_loop(me)),
+            PlanKind::ThreeD(pl) => Some(pl.stage_loop(me)),
+        }
+    }
+
     /// One distributed SpMM `Â·h` of this rank's operand: the degraded
     /// 1.5D failover SpMM when `degraded` names dead ranks, else the
     /// pipelined schedule when `pipe` is set, else the blocking one.
@@ -393,19 +412,13 @@ impl PlanKind {
                     spmm_1d_oblivious_pipelined_buf(ctx, plan, h, ov, bufs)
                 }
             }
-            (PlanKind::OneFiveD { plan, aware }, None) => spmm_15d_buf(ctx, plan, h, *aware, bufs),
-            (PlanKind::OneFiveD { plan, aware }, Some(Pipeline::Stages(k))) => {
-                spmm_15d_pipelined_buf(ctx, plan, h, *aware, *k, bufs)
+            (PlanKind::OneD { .. }, Some(Pipeline::Stages(_))) => {
+                unreachable!("pipeline state built for another plan")
             }
-            (PlanKind::TwoD(pl), None) => spmm_2d_buf(ctx, pl, h, bufs),
-            (PlanKind::TwoD(pl), Some(Pipeline::Stages(k))) => {
-                spmm_2d_pipelined_buf(ctx, pl, h, *k, bufs)
+            (_, pipe) => {
+                let sl = self.stage_loop(ctx.rank()).expect("a stage-loop plan");
+                run_stage_loop(ctx, &sl, h, Pipeline::chunks(pipe), bufs)
             }
-            (PlanKind::ThreeD(pl), None) => spmm_3d_buf(ctx, pl, h, bufs),
-            (PlanKind::ThreeD(pl), Some(Pipeline::Stages(k))) => {
-                spmm_3d_pipelined_buf(ctx, pl, h, *k, bufs)
-            }
-            _ => unreachable!("pipeline state built for another plan"),
         }
     }
 
